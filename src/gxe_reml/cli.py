@@ -22,7 +22,7 @@ from . import io as gio
 from .cv import CvModel, SparseDesign, run_cv
 from .env_features import process_weather
 from .errors import DataError, InvalidInputError, NumericalError
-from .reml_core import Dataset, fit, predict_cells
+from .reml_core import Dataset, fit
 from .simulator import SimConfig, simulate_met
 from .variance_structures import STRUCTURE_KINDS, build_structure
 

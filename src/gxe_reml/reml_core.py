@@ -30,6 +30,11 @@ Vdot = I_N for the residual variance.  Both reduce to p x p aggregates of
 P and K over environment pairs, so the per-parameter cost is O(p^2) after
 one O(N^2 p) pass.
 
+Cost per iteration: V is factored once per trial point, and the accepted
+trial's factor is reused for the score and AI matrix (potri turns it into P
+in place).  A fit factors V once at the start, once per accepted step and
+once per rejected step halving.
+
 BLUPs at the fitted parameters are u_hat = (Sigma_hat kron K) Z^T P y,
 computed as the n x p matrix K M Sigma_hat where M scatters P y over
 (genotype, environment) cells.
@@ -43,7 +48,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import (
     DataError,
@@ -268,12 +273,42 @@ def _condition_diagnostics(v: np.ndarray) -> str:
         return "eigenvalue diagnostics unavailable"
 
 
-def _chol_inverse(chol_lower: np.ndarray) -> np.ndarray:
-    """Full symmetric inverse from a lower Cholesky factor (LAPACK potri)."""
-    inv, info = lapack.dpotri(chol_lower, lower=1)
+def _factor_covariance(
+    sigma: np.ndarray, resid_var: float, env_idx: np.ndarray, k_rec: np.ndarray
+) -> np.ndarray:
+    """Lower Cholesky factor of V_rs = Sigma[e_r, e_s] K_rs + resid_var [r == s].
+
+    ``k_rec`` is K[g_r, g_s].  Only Sigma and diag(V) are checked for
+    finiteness: an off-diagonal overflow leaves V indefinite, which the
+    factorization reports.  Failures raise NumericalError.
+    """
+    v = sigma[np.ix_(env_idx, env_idx)]
+    v *= k_rec
+    v.flat[:: len(env_idx) + 1] += resid_var
+    if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(v.diagonal()))):
+        raise NumericalError("covariance matrix is not finite")
+    try:
+        return scipy.linalg.cholesky(v, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"covariance factorization failed: {exc} ({_condition_diagnostics(v)})"
+        ) from None
+
+
+def _chol_inverse(chol_lower: np.ndarray, downdate: np.ndarray) -> np.ndarray:
+    """Full symmetric V^-1 - D^T D from the lower Cholesky factor of V.
+
+    LAPACK potri writes the lower triangle of V^-1 over ``chol_lower``
+    (consuming the factor), syrk subtracts D^T D from it, and it is mirrored
+    into the upper triangle in place: no N x N array besides the factor.
+    """
+    inv, info = lapack.dpotri(chol_lower, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"triangular inversion failed (potri info {info})")
-    return np.tril(inv) + np.tril(inv, -1).T
+    inv = blas.dsyrk(-1.0, downdate, beta=1.0, c=inv, trans=1, lower=1, overwrite_c=1)
+    for j in range(inv.shape[0] - 1):
+        inv[j, j + 1 :] = inv[j + 1 :, j]
+    return inv
 
 
 class _PointEvaluation:
@@ -281,36 +316,24 @@ class _PointEvaluation:
 
     def __init__(self, ws: "_RemlWorkspace", sigma: np.ndarray, resid_var: float):
         self.ws = ws
-        n_rec = ws.n_rec
-        sig_rec = sigma[np.ix_(ws.env_idx, ws.env_idx)]
-        v = sig_rec * ws.k_rec
-        v.flat[:: n_rec + 1] += resid_var
-        try:
-            chol = scipy.linalg.cholesky(v, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"covariance factorization failed: {exc} "
-                f"({_condition_diagnostics(v)})"
-            ) from None
-        self.chol = chol
+        self.chol = chol = _factor_covariance(sigma, resid_var, ws.env_idx, ws.k_rec)
         logdet_v = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        vi_y = scipy.linalg.cho_solve((chol, True), ws.y)
-        vi_x = scipy.linalg.cho_solve((chol, True), ws.x)
+        vi_y = scipy.linalg.cho_solve((chol, True), ws.y, check_finite=False)
+        vi_x = scipy.linalg.cho_solve((chol, True), ws.x, check_finite=False)
         a = ws.x.T @ vi_x
         a = 0.5 * (a + a.T)
-        sign, logdet_a = np.linalg.slogdet(a)
-        if sign <= 0:
+        try:
+            chol_a = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
             raise NumericalError(
                 "X^T V^-1 X is not positive definite "
                 f"({_condition_diagnostics(a)})"
-            )
-        try:
-            beta = np.linalg.solve(a, ws.x.T @ vi_y)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"fixed-effect solve failed: {exc}") from None
+            ) from None
+        logdet_a = 2.0 * float(np.sum(np.log(np.diag(chol_a))))
+        beta = scipy.linalg.cho_solve((chol_a, True), ws.x.T @ vi_y, check_finite=False)
         py = vi_y - vi_x @ beta
         self.vi_x = vi_x
-        self.a = a
+        self.chol_a = chol_a
         self.beta = beta
         self.py = py
         self.loglik = -0.5 * (logdet_v + logdet_a + float(ws.y @ py))
@@ -319,28 +342,34 @@ class _PointEvaluation:
 
     def derivatives(self, derivs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Score vector and average-information matrix (structure params
-        in order, residual variance last)."""
+        in order, residual variance last).
+
+        Consumes the Cholesky factor, which potri overwrites with P, so it
+        runs at most once per point.
+        """
         ws = self.ws
-        vinv = _chol_inverse(self.chol)
-        p_mat = vinv - self.vi_x @ np.linalg.solve(self.a, self.vi_x.T)
-        p_mat = 0.5 * (p_mat + p_mat.T)
+        # P = V^-1 - V^-1 X A^-1 X^T V^-1 = V^-1 - W^T W, W = L_A^-1 (V^-1 X)^T.
+        w_fix = scipy.linalg.solve_triangular(self.chol_a, self.vi_x.T, lower=True)
+        p_mat = _chol_inverse(self.chol, w_fix)
+        self.chol = None
         py = self.py
-        t_agg = ws.env_onehot.T @ (p_mat * ws.k_rec) @ ws.env_onehot
-        h = (ws.k_rec * py[None, :]) @ ws.env_onehot
+        h = ws.k_rec @ (ws.env_onehot * py[:, None])
         k = len(derivs)
         w = np.empty((ws.n_rec, k + 1))
         for i, d in enumerate(derivs):
             w[:, i] = (h * d[ws.env_idx, :]).sum(axis=1)
         w[:, k] = py
+        ai = 0.5 * (w.T @ (p_mat @ w))
         tr_vec = np.empty(k + 1)
+        tr_vec[k] = float(np.trace(p_mat))
+        # P * K in place; RelationshipMatrix makes K exactly symmetric, so K^T
+        # has the same values in P's (Fortran) layout.
+        p_mat *= ws.k_rec.T
+        t_agg = ws.env_onehot.T @ p_mat @ ws.env_onehot
         for i, d in enumerate(derivs):
             tr_vec[i] = float(np.sum(d * t_agg))
-        tr_vec[k] = float(np.trace(p_mat))
-        quad = w.T @ py
-        grad = -0.5 * (tr_vec - quad)
-        ai = 0.5 * (w.T @ (p_mat @ w))
-        ai = 0.5 * (ai + ai.T)
-        return grad, ai
+        grad = -0.5 * (tr_vec - w.T @ py)
+        return grad, 0.5 * (ai + ai.T)
 
 
 class _RemlWorkspace:
@@ -440,8 +469,9 @@ def reml_loglik(
     Invariant under record reordering and under y -> y + X b for any b.
 
     Raises:
-        NumericalError: If the covariance factorization fails; the message
-            carries eigenvalue diagnostics.
+        NumericalError: If the covariance matrix is not finite or its
+            factorization fails; the latter message carries eigenvalue
+            diagnostics.
     """
     if not np.isfinite(resid_var) or resid_var <= 0.0:
         raise InvalidInputError(f"resid_var must be positive, got {resid_var}")
@@ -503,6 +533,11 @@ def fit(
     relative parameter change falls below ``10 * tol``.  Exceeding
     ``max_iter`` returns a result flagged ``converged=False`` rather than
     raising.
+
+    Each accepted step costs one Cholesky factorization of the N x N
+    covariance V, since the accepted trial point is reused for the
+    derivatives, plus one per rejected halving.  Trial points whose
+    parameters overflow are skipped without factoring.
 
     Args:
         dataset: Observed records plus kinship.
@@ -583,18 +618,20 @@ def fit(
             params_new = np.exp(eta_new)
             params_new[~free] = params[~free]
             eta_new[~free] = eta[~free]
+            if not np.all(np.isfinite(params_new)):
+                continue
             try:
                 trial = ws.point(structure.sigma(params_new[:k]), params_new[k])
             except NumericalError:
                 continue
             if trial.loglik >= trace[-1]:
-                accepted = (eta_new, params_new, clamped)
+                accepted = (eta_new, params_new, clamped, trial)
                 break
         if accepted is None:
             # No ascent found in any halved step: numerically at an optimum.
             converged = True
             break
-        eta_new, params_new, clamped = accepted
+        eta_new, params_new, clamped, trial = accepted
         for name in np.array(param_names)[clamped]:
             if name not in boundary:
                 boundary.append(name)
@@ -605,9 +642,9 @@ def fit(
                 / np.maximum(np.abs(params[free]), 1e-12)
             )
         )
-        params, eta = params_new, eta_new
+        # The accepted trial already holds the factor at the new point.
+        params, eta, cur = params_new, eta_new, trial
         ev = structure.evaluate(params[:k])
-        cur = ws.point(ev.sigma, params[k])
         grad, ai = cur.derivatives(ev.derivs)
         gain = cur.loglik - trace[-1]
         trace.append(cur.loglik)
@@ -669,19 +706,10 @@ def predict_cells(
     if dataset.n_records:
         gen_idx = dataset.gen_index_array
         env_idx = dataset.env_index_array
-        sig_rec = sigma_hat[np.ix_(env_idx, env_idx)]
         k_rec = dataset.kinship.values[np.ix_(gen_idx, gen_idx)]
-        v = sig_rec * k_rec
-        v.flat[:: dataset.n_records + 1] += fit_result.resid_var_hat
+        chol = _factor_covariance(sigma_hat, fit_result.resid_var_hat, env_idx, k_rec)
         resid = dataset.values - env_means[env_idx]
-        try:
-            chol = scipy.linalg.cholesky(v, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"covariance factorization failed: {exc} "
-                f"({_condition_diagnostics(v)})"
-            ) from None
-        py = scipy.linalg.cho_solve((chol, True), resid)
+        py = scipy.linalg.cho_solve((chol, True), resid, check_finite=False)
         m = np.zeros((n, p))
         m[gen_idx, env_idx] = py
         u = dataset.kinship.values @ m @ sigma_hat

@@ -10,6 +10,7 @@ checked against the partitioned joint-normal conditional mean.
 import numpy as np
 import pytest
 
+from gxe_reml import reml_core
 from gxe_reml import (
     CorrSingleVar,
     Dataset,
@@ -20,6 +21,7 @@ from gxe_reml import (
     InvalidInputError,
     KernelSingleVar,
     MainEffect,
+    NumericalError,
     PhenotypeRecord,
     RelationshipMatrix,
     SimConfig,
@@ -168,6 +170,13 @@ class TestRemlLoglik:
         with pytest.raises(InvalidInputError):
             reml_loglik(dataset, MainEffect(2), np.array([1.0]), 0.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_covariance_is_numerical_error(self):
+        for kin in (None, RelationshipMatrix(2.0 * np.eye(3), ["a", "b", "c"])):
+            dataset = make_dataset(3, 2, seed=13, kinship=kin)
+            with pytest.raises(NumericalError):
+                reml_loglik(dataset, MainEffect(2), np.array([1e308]), 1.0)
+
 
 class TestScoreAndAi:
     def test_gradient_matches_finite_differences(self):
@@ -254,6 +263,67 @@ class TestFit:
         )
         assert not result.converged
         assert result.iterations == 1
+
+    def test_one_factorization_per_accepted_step(self, monkeypatch):
+        # Started far from the optimum, so some step halvings are rejected.
+        dist = random_distance(4, seed=25, mean_off=5.0)
+        structure = KernelSingleVar(dist)
+        dataset = simulated_dataset(structure, [0.3, 1.0], resid_var=0.4, n=40, seed=26)
+        factor = reml_core.scipy.linalg.cholesky
+        factored = []
+
+        def counting(*args, **kwargs):
+            factored.append(1)
+            return factor(*args, **kwargs)
+
+        point = reml_core._RemlWorkspace.point
+        logliks = []  # every point evaluated, None where it failed
+
+        def recording(ws, sigma, resid_var):
+            try:
+                evaluation = point(ws, sigma, resid_var)
+            except NumericalError:
+                logliks.append(None)
+                raise
+            logliks.append(evaluation.loglik)
+            return evaluation
+
+        monkeypatch.setattr(reml_core.scipy.linalg, "cholesky", counting)
+        monkeypatch.setattr(reml_core._RemlWorkspace, "point", recording)
+        result = fit(dataset, structure, init=np.array([5.0, 50.0]))
+        n_factored = len(factored)
+        best, accepted, rejected = logliks[0], 0, 0
+        for loglik in logliks[1:]:
+            if loglik is not None and loglik >= best:
+                best, accepted = loglik, accepted + 1
+            else:
+                rejected += 1
+        assert rejected > 0, "the start should force at least one rejected halving"
+        assert accepted == result.iterations
+        assert n_factored == 1 + result.iterations + rejected, \
+            "each accepted point must be factored once, not rebuilt"
+
+        # The reused point is the fitted one.
+        args = (dataset, structure, result.kappa_hat, result.resid_var_hat)
+        loglik = reml_loglik(*args)
+        _, ai = score_and_ai(*args)
+        assert abs(result.loglik - loglik) <= 1e-10 * abs(loglik)
+        assert np.max(np.abs(result.ai_matrix - ai)) <= 1e-10 * np.max(np.abs(ai))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_trial_counts_as_failed_halving(self, monkeypatch):
+        # Parameters near the largest double, always stepped upward: the full
+        # step overflows exp(eta) and the first halving overflows V.  Both are
+        # failed halvings, not errors that abort the fit.
+        dataset = make_dataset(4, 2, seed=55)
+        monkeypatch.setattr(
+            reml_core, "_ascent_step", lambda ai, grad: np.full_like(grad, 5.0)
+        )
+        result = fit(
+            dataset, MainEffect(2), init=np.array([1e307]), resid_init=1e307, max_iter=3
+        )
+        assert np.all(np.isfinite(result.loglik_trace))
+        assert np.all(np.isfinite(result.kappa_hat))
 
     def test_frozen_bandwidth_matches_fixed_correlation(self):
         dist = random_distance(4, seed=27, mean_off=4.0)
