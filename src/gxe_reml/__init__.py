@@ -59,12 +59,11 @@ from .variance_structures import (
 from .reml_core import (
     CellPrediction,
     Dataset,
-    DesignMatrices,
     FitResult,
     PhenotypeRecord,
     RelationshipMatrix,
-    build_design,
     fit,
+    lookup_cells,
     predict_cells,
     reml_loglik,
     score_and_ai,
@@ -102,9 +101,9 @@ __all__ = [
     "KernelMultiVar", "KernelSingleVar", "MainEffect", "VarianceStructure",
     "average_kernel", "build_structure", "correlation_from_covariance",
     "gaussian_kernel", "mean_offdiag",
-    "CellPrediction", "Dataset", "DesignMatrices", "FitResult",
-    "PhenotypeRecord", "RelationshipMatrix", "build_design", "fit",
-    "predict_cells", "reml_loglik", "score_and_ai",
+    "CellPrediction", "Dataset", "FitResult", "PhenotypeRecord",
+    "RelationshipMatrix", "fit", "lookup_cells", "predict_cells",
+    "reml_loglik", "score_and_ai",
     "SimConfig", "SimOutput", "kinship_from_markers", "simulate_markers",
     "simulate_met",
     "CvModel", "CvReport", "CvRow", "CvSummary", "SparseDesign", "run_cv",

@@ -21,15 +21,18 @@ import numpy as np
 from . import io as gio
 from .cv import CvModel, SparseDesign, run_cv
 from .env_features import process_weather
-from .errors import DataError, InvalidInputError, NumericalError
-from .reml_core import Dataset, fit
+from .errors import DataError, InvalidInputError, NumericalError, UnknownLabelError
+from .reml_core import Dataset, fit, lookup_cells
 from .simulator import SimConfig, simulate_met
-from .variance_structures import STRUCTURE_KINDS, build_structure
+from .variance_structures import STRUCTURE_KINDS, build_structure, structure_class
 
 logger = logging.getLogger(__name__)
 
-_CORR_KINDS = ("cor1", "corP")
-_KERNEL_KINDS = ("kern1", "kernP", "ka")
+# Matrix flags, keyed by the structure input (``needs``) each one supplies.
+_MATRIX_FLAGS = {
+    "corr": ("--corr", "correlation structures need a correlation matrix"),
+    "dist": ("--dist", "kernel structures need a distance matrix"),
+}
 
 
 class UsageError(Exception):
@@ -131,7 +134,11 @@ def _build_parser() -> _Parser:
     cv_p.add_argument("--grid", help="comma-separated bandwidth grid (ka)")
     cv_p.add_argument("--max-iter", type=int, default=100)
     cv_p.add_argument("--tol", type=float, default=1e-6)
-    cv_p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    cv_p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes (default 1: each fit already runs multithreaded "
+             "BLAS, so more workers oversubscribe the cores and usually run slower)",
+    )
     cv_p.add_argument("--out", help="output report CSV")
     return parser
 
@@ -212,32 +219,18 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 def _check_structure_matrices(args: argparse.Namespace) -> None:
     kind = args.structure
-    if kind in _CORR_KINDS:
-        if args.corr is None:
-            raise UsageError(f"--structure {kind} requires --corr")
-        if args.dist is not None:
-            raise UsageError(
-                f"--structure {kind} takes --corr, not --dist "
-                "(correlation structures need a correlation matrix)"
-            )
-    elif kind in _KERNEL_KINDS:
-        if args.dist is None:
-            raise UsageError(
-                f"--structure {kind} requires --dist "
-                "(kernel structures need a distance matrix)"
-            )
-        if args.corr is not None:
-            raise UsageError(
-                f"--structure {kind} takes --dist, not --corr "
-                "(kernel structures need a distance matrix)"
-            )
-    else:
-        if args.corr is not None or args.dist is not None:
-            raise UsageError(
-                f"--structure {kind} takes neither --corr nor --dist"
-            )
-    if args.grid is not None and kind != "ka":
-        raise UsageError("--grid applies only to --structure ka")
+    cls = structure_class(kind)
+    for name, (flag, why) in _MATRIX_FLAGS.items():
+        given = getattr(args, name) is not None
+        if name == cls.needs and not given:
+            raise UsageError(f"--structure {kind} requires {flag} ({why})")
+        if name != cls.needs and given:
+            if cls.needs not in _MATRIX_FLAGS:
+                raise UsageError(f"--structure {kind} takes neither --corr nor --dist")
+            needed, why = _MATRIX_FLAGS[cls.needs]
+            raise UsageError(f"--structure {kind} takes {needed}, not {flag} ({why})")
+    if args.grid is not None and not cls.takes_grid:
+        raise UsageError("--grid applies only to kernel averaging (--structure ka)")
 
 
 def _validate(args: argparse.Namespace) -> None:
@@ -254,7 +247,7 @@ def _validate(args: argparse.Namespace) -> None:
                  "params", "resid_var", "out")
         if args.n_genotypes < 2 or args.n_markers < 2:
             raise UsageError("--n-genotypes and --n-markers must be >= 2")
-        if args.structure in ("main", "diag") and args.p_environments is None:
+        if structure_class(args.structure).needs == "p" and args.p_environments is None:
             raise UsageError(
                 f"--structure {args.structure} requires --p-environments"
             )
@@ -390,24 +383,11 @@ def _cmd_fit(args: argparse.Namespace) -> None:
 def _cmd_predict(args: argparse.Namespace) -> None:
     stored = gio.read_fit_dir(args.fit)
     targets = gio.read_targets_csv(args.targets)
-    gen_map = {g: i for i, g in enumerate(stored.genotype_labels)}
-    env_map = {e: j for j, e in enumerate(stored.environment_labels)}
-    means = stored.environment_means()
-    import csv as _csv
-
-    with open(args.out, "w", newline="") as handle:
-        writer = _csv.writer(handle)
-        writer.writerow(["genotype", "environment", "blup", "fitted"])
-        for g, e in targets:
-            if g not in gen_map:
-                raise DataError(f"{args.targets}: unknown genotype {g!r}")
-            if e not in env_map:
-                raise DataError(f"{args.targets}: unknown environment {e!r}")
-            blup = float(stored.blup_matrix[gen_map[g], env_map[e]])
-            writer.writerow(
-                [g, e, gio.FLOAT_FORMAT % blup,
-                 gio.FLOAT_FORMAT % (means[env_map[e]] + blup)]
-            )
+    try:
+        predictions = lookup_cells(stored, targets)
+    except UnknownLabelError as exc:
+        raise DataError(f"{args.targets}: {exc}") from None
+    gio.write_predictions_csv(args.out, predictions)
     logger.info("%d predictions written to %s", len(targets), args.out)
 
 
@@ -418,46 +398,43 @@ def _sim_config_from_file(path) -> SimConfig:
             raise DataError(f"{path}: missing required key {key!r}")
         return cfg[key]
 
+    def numbers(text: str) -> list[float]:
+        return [float(t) for t in text.split(",") if t.strip()]
+
     kind = need("structure")
-    if kind not in STRUCTURE_KINDS:
-        raise DataError(f"{path}: unknown structure kind {kind!r}")
     corr = gio.read_correlation_csv(cfg["corr"]) if "corr" in cfg else None
     dist = gio.read_distance_csv(cfg["dist"]) if "dist" in cfg else None
-    grid = None
-    if "grid" in cfg:
-        grid = [float(t) for t in cfg["grid"].split(",") if t.strip()]
-    p = int(cfg["p_environments"]) if "p_environments" in cfg else None
-    structure = build_structure(kind, p=p, corr=corr, dist=dist, grid=grid)
-    env_means: float | list[float] = 0.0
-    if "env_means" in cfg:
-        values = [float(t) for t in cfg["env_means"].split(",") if t.strip()]
-        env_means = values[0] if len(values) == 1 else values
     try:
+        structure = build_structure(
+            kind,
+            p=int(cfg["p_environments"]) if "p_environments" in cfg else None,
+            corr=corr,
+            dist=dist,
+            grid=numbers(cfg["grid"]) if "grid" in cfg else None,
+        )
+        env_means: float | list[float] = 0.0
+        if "env_means" in cfg:
+            values = numbers(cfg["env_means"])
+            env_means = values[0] if len(values) == 1 else values
         return SimConfig(
             n_genotypes=int(need("n_genotypes")),
             n_markers=int(need("n_markers")),
             structure=structure,
-            true_params=np.array(
-                [float(t) for t in need("params").split(",") if t.strip()]
-            ),
+            true_params=np.array(numbers(need("params"))),
             resid_var=float(need("resid_var")),
             env_means=env_means,
             seed=int(cfg.get("seed", "0")),
         )
     except ValueError as exc:
+        # InvalidInputError from build_structure or SimConfig is a ValueError.
         raise DataError(f"{path}: {exc}") from None
 
 
 def _cmd_cv(args: argparse.Namespace) -> None:
-    models = [CvModel(label=k.strip(), kind=k.strip())
+    # build_structure ignores the grid for kinds without one.
+    grid = tuple(_floats(args.grid, "--grid")) if args.grid else None
+    models = [CvModel(label=k.strip(), kind=k.strip(), grid=grid)
               for k in args.models.split(",")]
-    grid = _floats(args.grid, "--grid") if args.grid else None
-    if grid is not None:
-        models = [
-            CvModel(label=m.label, kind=m.kind,
-                    grid=tuple(grid) if m.kind == "ka" else None)
-            for m in models
-        ]
     design = SparseDesign(
         n_checks=args.checks,
         envs_per_variety=args.envs_per_variety,

@@ -34,18 +34,15 @@ from .env_features import (
     random_correlation,
 )
 from .errors import DataError, InvalidInputError, NumericalError
-from .reml_core import Dataset, fit, predict_cells
+from .reml_core import Dataset, fit, lookup_cells
 from .simulator import SimConfig, simulate_met
 from .variance_structures import (
-    STRUCTURE_KINDS,
     build_structure,
     correlation_from_covariance,
+    structure_class,
 )
 
 logger = logging.getLogger(__name__)
-
-_CORR_KINDS = ("cor1", "corP")
-_KERNEL_KINDS = ("kern1", "kernP", "ka")
 
 
 @dataclass(frozen=True)
@@ -79,11 +76,7 @@ class CvModel:
     grid: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in STRUCTURE_KINDS:
-            raise InvalidInputError(
-                f"unknown structure kind {self.kind!r}; "
-                f"choose from {', '.join(STRUCTURE_KINDS)}"
-            )
+        structure_class(self.kind)
 
 
 @dataclass(frozen=True)
@@ -312,9 +305,9 @@ def _run_replicate(args: tuple[_CvTask, int]) -> list[CvRow]:
         }
         target = {cell: observed[cell] for cell in test_cells}
 
-    needs_blend = any(m.kind in _CORR_KINDS for m in task.models) and any(
-        lam > 0.0 for lam in task.lambdas
-    )
+    # Only models built from a correlation matrix are blended toward noise.
+    blended = {m.label for m in task.models if structure_class(m.kind).needs == "corr"}
+    needs_blend = bool(blended) and any(lam > 0.0 for lam in task.lambdas)
     noise = (
         random_correlation(
             data.p, _blend_seed(task.design, rep), labels=data.environment_labels
@@ -324,22 +317,12 @@ def _run_replicate(args: tuple[_CvTask, int]) -> list[CvRow]:
     )
     rows: list[CvRow] = []
     for model in task.models:
-        lam_values = task.lambdas if model.kind in _CORR_KINDS else (0.0,)
-        for lam in lam_values:
-            if model.kind in _CORR_KINDS:
-                base = task.corr
-                corr = (
-                    blend_correlation(base, noise, lam) if lam > 0.0 else base
-                )
-                structure = build_structure(model.kind, corr=corr)
-            elif model.kind in _KERNEL_KINDS:
-                structure = build_structure(
-                    model.kind, dist=task.dist, grid=model.grid
-                )
-            else:
-                structure = build_structure(
-                    model.kind, env_labels=train.environment_labels
-                )
+        for lam in task.lambdas if model.label in blended else (0.0,):
+            corr = blend_correlation(task.corr, noise, lam) if lam > 0.0 else task.corr
+            structure = build_structure(
+                model.kind, env_labels=train.environment_labels,
+                corr=corr, dist=task.dist, grid=model.grid,
+            )
             started = time.perf_counter()
             try:
                 result = fit(
@@ -356,7 +339,7 @@ def _run_replicate(args: tuple[_CvTask, int]) -> list[CvRow]:
                 )
                 continue
             elapsed = time.perf_counter() - started
-            preds = predict_cells(result, train, test_cells)
+            preds = lookup_cells(result, test_cells)
             if truth_matrix is not None:
                 predicted = {(c.genotype, c.environment): c.blup for c in preds}
             else:
@@ -412,6 +395,7 @@ def run_cv(
     labels = [m.label for m in model_list]
     if len(set(labels)) != len(labels):
         raise InvalidInputError("model labels must be unique")
+    needs = {structure_class(m.kind).needs for m in model_list}
     lam_tuple = (0.0,) if lambdas is None else tuple(float(l) for l in lambdas)
     for lam in lam_tuple:
         if not np.isfinite(lam) or lam < 0.0 or lam > 1.0:
@@ -422,10 +406,10 @@ def run_cv(
             if sim_config.structure.env_labels is not None
             else [f"E{j + 1:02d}" for j in range(sim_config.p_environments)]
         )
-        if corr is None and any(m.kind in _CORR_KINDS for m in model_list):
+        if corr is None and "corr" in needs:
             sigma = sim_config.structure.sigma(sim_config.true_params)
             corr = correlation_from_covariance(sigma, env_labels)
-        if dist is None and any(m.kind in _KERNEL_KINDS for m in model_list):
+        if dist is None and "dist" in needs:
             truth_dist = getattr(sim_config.structure, "dist", None)
             if truth_dist is None:
                 raise InvalidInputError(
@@ -433,9 +417,9 @@ def run_cv(
                     "is not kernel-based; pass dist=...)"
                 )
             dist = EnvDistanceMatrix(truth_dist, env_labels)
-    if corr is None and any(m.kind in _CORR_KINDS for m in model_list):
+    if corr is None and "corr" in needs:
         raise InvalidInputError("correlation models need corr=...")
-    if dist is None and any(m.kind in _KERNEL_KINDS for m in model_list):
+    if dist is None and "dist" in needs:
         raise InvalidInputError("kernel models need dist=...")
     task = _CvTask(
         models=model_list,

@@ -11,7 +11,6 @@ file, row, and column.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -20,7 +19,7 @@ import numpy as np
 
 from .env_features import DailyWeatherRecord, EnvCorrelationMatrix, EnvDistanceMatrix
 from .errors import DataError, GxeRemlError
-from .reml_core import FitResult, PhenotypeRecord, RelationshipMatrix
+from .reml_core import CellPrediction, FitResult, PhenotypeRecord, RelationshipMatrix
 
 FLOAT_FORMAT = "%.17g"
 
@@ -74,6 +73,15 @@ def write_matrix_csv(path, values: np.ndarray, row_labels: Sequence[str],
         writer.writerow([""] + list(col_labels))
         for label, row in zip(row_labels, values):
             writer.writerow([label] + [_fmt(v) for v in row])
+
+
+def _cell_rows(matrix: np.ndarray, genotype_labels: Sequence[str],
+               environment_labels: Sequence[str]) -> Iterable[list[str]]:
+    """``[genotype, environment, value]`` rows of an n x p genotype-by-
+    environment matrix, environment-major (genotype fastest)."""
+    for j, env in enumerate(environment_labels):
+        for i, gen in enumerate(genotype_labels):
+            yield [gen, env, _fmt(matrix[i, j])]
 
 
 def _read_square(path, what: str) -> tuple[np.ndarray, list[str]]:
@@ -230,9 +238,9 @@ def write_fit_dir(out_dir, result: FitResult) -> None:
     with open(os.path.join(out_dir, "blups.csv"), "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["genotype", "environment", "blup"])
-        blups = result.blups
-        for (g, e), value in zip(result.cell_labels(), blups):
-            writer.writerow([g, e, _fmt(value)])
+        writer.writerows(_cell_rows(
+            result.blup_matrix, result.genotype_labels, result.environment_labels
+        ))
     with open(os.path.join(out_dir, "loglik.csv"), "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["iteration", "loglik"])
@@ -342,7 +350,18 @@ def write_truth_csv(path, sim_output, param_names: Sequence[str]) -> None:
         for name, value in zip(param_names, sim_output.true_params):
             writer.writerow([name, "", "", _fmt(value)])
         writer.writerow(["resid_var", "", "", _fmt(sim_output.resid_var)])
-        for (g, e), value in zip(
-            sim_output.cell_labels(), sim_output.true_genetic_values
-        ):
-            writer.writerow(["genetic_value", g, e, _fmt(value)])
+        dataset = sim_output.dataset
+        writer.writerows(
+            ["genetic_value"] + row
+            for row in _cell_rows(sim_output.true_genetic_matrix,
+                                  dataset.genotype_labels, dataset.environment_labels)
+        )
+
+
+def write_predictions_csv(path, predictions: Iterable[CellPrediction]) -> None:
+    """Cell predictions CSV with header ``genotype,environment,blup,fitted``."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["genotype", "environment", "blup", "fitted"])
+        for c in predictions:
+            writer.writerow([c.genotype, c.environment, _fmt(c.blup), _fmt(c.fitted)])

@@ -202,27 +202,10 @@ class Dataset:
         except KeyError:
             raise UnknownLabelError(f"unknown environment {label!r}") from None
 
-    def observed_cells(self) -> list[tuple[str, str]]:
-        return [(rec.genotype, rec.environment) for rec in self.records]
-
     def subset(self, record_indices: Sequence[int]) -> "Dataset":
         """New dataset with a subset of records, sharing kinship and labels."""
         recs = [self.records[i] for i in record_indices]
         return Dataset(recs, self.kinship, self.environment_labels)
-
-    def cell_labels(self) -> list[tuple[str, str]]:
-        """All n*p cells in environment-major order (genotype fastest)."""
-        return [
-            (g, e) for e in self.environment_labels for g in self.genotype_labels
-        ]
-
-
-@dataclass
-class DesignMatrices:
-    """Fixed-effect incidence X and cell-selection matrix Z."""
-
-    X: np.ndarray
-    Z: np.ndarray
 
 
 def _design_x(dataset: Dataset) -> np.ndarray:
@@ -240,29 +223,6 @@ def _design_x(dataset: Dataset) -> np.ndarray:
     rows = np.nonzero(dataset.env_index_array > 0)[0]
     x[rows, dataset.env_index_array[rows]] = 1.0
     return x
-
-
-def build_design(dataset: Dataset) -> DesignMatrices:
-    """Design matrices for the per-environment-mean model.
-
-    X is N x p full rank with an intercept and indicators for every
-    environment after the first; Z is N x (n*p), each row selecting one
-    cell of the environment-major cell vector (genotype index fastest).
-
-    Raises:
-        DesignError: If some environment has no records.
-    """
-    if dataset.p < 2 or dataset.n < 2:
-        raise InvalidInputError(
-            f"need at least 2 genotypes and 2 environments, got "
-            f"{dataset.n} and {dataset.p}"
-        )
-    x = _design_x(dataset)
-    n = dataset.n
-    z = np.zeros((dataset.n_records, n * dataset.p))
-    cells = dataset.env_index_array * n + dataset.gen_index_array
-    z[np.arange(dataset.n_records), cells] = 1.0
-    return DesignMatrices(x, z)
 
 
 def _condition_diagnostics(v: np.ndarray) -> str:
@@ -309,6 +269,14 @@ def _chol_inverse(chol_lower: np.ndarray, downdate: np.ndarray) -> np.ndarray:
     for j in range(inv.shape[0] - 1):
         inv[j, j + 1 :] = inv[j + 1 :, j]
     return inv
+
+
+def _cell_blups(dataset: Dataset, weights: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """n x p BLUP matrix K M Sigma, M scattering per-record ``weights``
+    (V^-1 times the mean-adjusted phenotypes) over the observed cells."""
+    m = np.zeros((dataset.n, dataset.p))
+    m[dataset.gen_index_array, dataset.env_index_array] = weights
+    return dataset.kinship.values @ m @ sigma
 
 
 class _PointEvaluation:
@@ -408,9 +376,8 @@ class _RemlWorkspace:
 class FitResult:
     """Converged (or flagged) REML fit.
 
-    ``blup_matrix`` is n x p (genotypes by environments); ``blups`` flattens
-    it to the environment-major cell vector (genotype index fastest, cell =
-    e * n + g) matching the Z coding of :func:`build_design`.
+    ``blup_matrix`` is n x p: row i is ``genotype_labels[i]``, column j is
+    ``environment_labels[j]``.  :func:`lookup_cells` reads cells from it.
     """
 
     structure: VarianceStructure
@@ -431,15 +398,6 @@ class FitResult:
     @property
     def loglik(self) -> float:
         return float(self.loglik_trace[-1])
-
-    @property
-    def blups(self) -> np.ndarray:
-        return self.blup_matrix.flatten(order="F")
-
-    def cell_labels(self) -> list[tuple[str, str]]:
-        return [
-            (g, e) for e in self.environment_labels for g in self.genotype_labels
-        ]
 
     def environment_means(self) -> np.ndarray:
         """Per-environment fitted means implied by beta_hat."""
@@ -653,10 +611,6 @@ def fit(
             converged = True
             break
 
-    sigma_hat = ev.sigma
-    m = np.zeros((dataset.n, dataset.p))
-    m[ws.gen_idx, ws.env_idx] = cur.py
-    blup_matrix = dataset.kinship.values @ m @ sigma_hat
     return FitResult(
         structure=structure,
         kappa_hat=params[:k],
@@ -665,7 +619,7 @@ def fit(
         loglik_trace=np.asarray(trace),
         ai_matrix=ai,
         param_names=param_names,
-        blup_matrix=blup_matrix,
+        blup_matrix=_cell_blups(dataset, cur.py, ev.sigma),
         genotype_labels=list(dataset.genotype_labels),
         environment_labels=list(dataset.environment_labels),
         converged=converged,
@@ -673,6 +627,33 @@ def fit(
         boundary_params=boundary,
         fixed_params=fixed,
     )
+
+
+def lookup_cells(
+    fit_result, targets: Sequence[tuple[str, str]]
+) -> list[CellPrediction]:
+    """BLUPs and fitted values for target cells, given the fit's own records.
+
+    Reads ``blup_matrix``, ``environment_means()`` and the label lists, so
+    it serves a :class:`FitResult` or a fit read back from disk alike;
+    :func:`predict_cells` conditions on other records.
+
+    Raises:
+        UnknownLabelError: If a target genotype or environment is not in
+            the fit's labels.
+    """
+    gen_map = {g: i for i, g in enumerate(fit_result.genotype_labels)}
+    env_map = {e: j for j, e in enumerate(fit_result.environment_labels)}
+    means = fit_result.environment_means()
+    out = []
+    for g, e in targets:
+        if g not in gen_map:
+            raise UnknownLabelError(f"unknown genotype {g!r}")
+        if e not in env_map:
+            raise UnknownLabelError(f"unknown environment {e!r}")
+        blup = float(fit_result.blup_matrix[gen_map[g], env_map[e]])
+        out.append(CellPrediction(g, e, blup, float(means[env_map[e]] + blup)))
+    return out
 
 
 def predict_cells(
@@ -685,9 +666,11 @@ def predict_cells(
     The fitted parameters and fixed effects are frozen at their
     ``fit_result`` values; the conditional mean of each target's genetic
     effect is u_hat = Cov(u_t, y) V^-1 (y - X beta_hat) over the records of
-    ``dataset`` (which may be the training data for in-sample BLUPs, or any
-    other record set sharing the same genotype and environment universe).
-    The fitted value adds the environment mean implied by beta_hat.
+    ``dataset``, any record set sharing the fit's genotype and environment
+    universe.  This factors V once for ``dataset``; on the records the fit
+    was made on it reproduces ``fit_result.blup_matrix``, which
+    :func:`lookup_cells` reads without a factorization.  The fitted value
+    adds the environment mean implied by beta_hat.
 
     Raises:
         UnknownLabelError: If a target genotype or environment does not
@@ -702,19 +685,17 @@ def predict_cells(
     ]
     sigma_hat = fit_result.structure.sigma(fit_result.kappa_hat)
     env_means = fit_result.environment_means()
-    n, p = dataset.n, dataset.p
     if dataset.n_records:
-        gen_idx = dataset.gen_index_array
         env_idx = dataset.env_index_array
-        k_rec = dataset.kinship.values[np.ix_(gen_idx, gen_idx)]
+        k_rec = dataset.kinship.values[
+            np.ix_(dataset.gen_index_array, dataset.gen_index_array)
+        ]
         chol = _factor_covariance(sigma_hat, fit_result.resid_var_hat, env_idx, k_rec)
         resid = dataset.values - env_means[env_idx]
         py = scipy.linalg.cho_solve((chol, True), resid, check_finite=False)
-        m = np.zeros((n, p))
-        m[gen_idx, env_idx] = py
-        u = dataset.kinship.values @ m @ sigma_hat
+        u = _cell_blups(dataset, py, sigma_hat)
     else:
-        u = np.zeros((n, p))
+        u = np.zeros((dataset.n, dataset.p))
     out = []
     for (g, e), (gi, ei) in zip(targets, target_idx):
         blup = float(u[gi, ei])

@@ -88,14 +88,6 @@ class SimOutput:
     true_params: np.ndarray
     resid_var: float
 
-    @property
-    def true_genetic_values(self) -> np.ndarray:
-        """Genetic values as the environment-major np cell vector."""
-        return self.true_genetic_matrix.flatten(order="F")
-
-    def cell_labels(self) -> list[tuple[str, str]]:
-        return self.dataset.cell_labels()
-
 
 def simulate_markers(n: int, m: int, seed) -> np.ndarray:
     """n x m marker matrix with entries in {0, 1, 2}.

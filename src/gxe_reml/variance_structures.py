@@ -6,6 +6,11 @@ Every structure provides Sigma itself plus the per-parameter derivative
 matrices dSigma/dkappa_i consumed by the average-information updates, so new
 structures plug into the fitting loop without touching it.
 
+A new structure is one subclass declaring its ``kind`` tag and the input it
+is built from, ``needs``: ``"p"`` (environment count or labels), ``"corr"``
+or ``"dist"`` (the matrix its constructor takes).  Listed in
+``_STRUCTURES``, it reaches :func:`build_structure`, the CLI and CV.
+
 Available parameterizations (kind tags in parentheses):
 
 * ``main`` -- one shared variance, Sigma = var * J (all-ones J); genotype
@@ -57,9 +62,6 @@ from .env_features import EnvCorrelationMatrix, EnvDistanceMatrix
 from .errors import InvalidInputError
 
 logger = logging.getLogger(__name__)
-
-STRUCTURE_KINDS = ("main", "diag", "cor1", "corP", "kern1", "kernP", "ka")
-
 
 @dataclass
 class CovarianceWithDerivatives:
@@ -131,6 +133,8 @@ class VarianceStructure(abc.ABC):
     """Base class for the Sigma(kappa) plugin contract."""
 
     kind: ClassVar[str]
+    needs: ClassVar[str]
+    takes_grid: ClassVar[bool] = False
 
     def __init__(self, p: int, param_names: list[str], env_labels: list[str] | None):
         if p < 1:
@@ -190,6 +194,7 @@ class MainEffect(VarianceStructure):
     """Single genotype main effect: Sigma = var * J."""
 
     kind = "main"
+    needs = "p"
 
     def __init__(self, p: int, env_labels: Sequence[str] | None = None):
         super().__init__(p, ["var"], list(env_labels) if env_labels else None)
@@ -208,6 +213,7 @@ class DiagonalVariance(VarianceStructure):
     """Independent environments: Sigma = diag(var_1..var_p)."""
 
     kind = "diag"
+    needs = "p"
 
     def __init__(self, p: int, env_labels: Sequence[str] | None = None):
         labels = list(env_labels) if env_labels else [str(j) for j in range(p)]
@@ -233,6 +239,7 @@ class CorrSingleVar(VarianceStructure):
     """Fixed correlation, one variance: Sigma = var * C."""
 
     kind = "cor1"
+    needs = "corr"
 
     def __init__(self, corr: EnvCorrelationMatrix):
         super().__init__(corr.p, ["var"], list(corr.labels))
@@ -270,6 +277,7 @@ class CorrMultiVar(VarianceStructure):
     """Fixed correlation, per-environment variances: Sigma = outer(s,s)*C."""
 
     kind = "corP"
+    needs = "corr"
 
     def __init__(self, corr: EnvCorrelationMatrix):
         super().__init__(corr.p, [f"var[{lab}]" for lab in corr.labels],
@@ -294,6 +302,7 @@ class KernelSingleVar(VarianceStructure):
     """
 
     kind = "kern1"
+    needs = "dist"
 
     def __init__(self, dist: EnvDistanceMatrix):
         super().__init__(dist.p, ["bandwidth", "var"], list(dist.labels))
@@ -318,6 +327,7 @@ class KernelMultiVar(VarianceStructure):
     """
 
     kind = "kernP"
+    needs = "dist"
 
     def __init__(self, dist: EnvDistanceMatrix):
         super().__init__(dist.p, ["bandwidth"] + [f"var[{lab}]" for lab in dist.labels],
@@ -350,6 +360,8 @@ class KernelAveraging(VarianceStructure):
     """
 
     kind = "ka"
+    needs = "dist"
+    takes_grid = True
 
     def __init__(self, dist: EnvDistanceMatrix, grid: Sequence[float] | None = None):
         if grid is None:
@@ -408,6 +420,26 @@ def average_kernel(
     return structure._combine(kappa)
 
 
+_STRUCTURES: dict[str, type[VarianceStructure]] = {
+    cls.kind: cls
+    for cls in (
+        MainEffect, DiagonalVariance, CorrSingleVar, CorrMultiVar,
+        KernelSingleVar, KernelMultiVar, KernelAveraging,
+    )
+}
+STRUCTURE_KINDS = tuple(_STRUCTURES)
+
+
+def structure_class(kind: str) -> type[VarianceStructure]:
+    """The class registered under ``kind``; InvalidInputError if none is."""
+    try:
+        return _STRUCTURES[kind]
+    except KeyError:
+        raise InvalidInputError(
+            f"unknown structure kind {kind!r}; choose from {', '.join(STRUCTURE_KINDS)}"
+        ) from None
+
+
 def build_structure(
     kind: str,
     *,
@@ -417,29 +449,22 @@ def build_structure(
     dist: EnvDistanceMatrix | None = None,
     grid: Sequence[float] | None = None,
 ) -> VarianceStructure:
-    """Construct a structure by kind tag.
+    """Construct a structure by kind tag from the input its class needs.
 
-    ``cor1``/``corP`` require ``corr``; ``kern1``/``kernP``/``ka`` require
-    ``dist``; ``main``/``diag`` require ``p`` (or labels).
+    ``corr`` or ``dist`` when the class needs that matrix; otherwise ``p``
+    or ``env_labels`` (labels win and set p).  Inputs the kind does not
+    need are ignored, as is ``grid`` for kinds without a bandwidth grid.
     """
-    if kind not in STRUCTURE_KINDS:
-        raise InvalidInputError(
-            f"unknown structure kind {kind!r}; choose from {', '.join(STRUCTURE_KINDS)}"
-        )
-    if kind in ("cor1", "corP"):
-        if corr is None:
-            raise InvalidInputError(f"structure {kind!r} requires a correlation matrix")
-        return CorrSingleVar(corr) if kind == "cor1" else CorrMultiVar(corr)
-    if kind in ("kern1", "kernP", "ka"):
-        if dist is None:
-            raise InvalidInputError(f"structure {kind!r} requires a distance matrix")
-        if kind == "kern1":
-            return KernelSingleVar(dist)
-        if kind == "kernP":
-            return KernelMultiVar(dist)
-        return KernelAveraging(dist, grid)
-    if env_labels is not None:
-        p = len(env_labels)
-    if p is None:
-        raise InvalidInputError(f"structure {kind!r} requires the number of environments")
-    return MainEffect(p, env_labels) if kind == "main" else DiagonalVariance(p, env_labels)
+    cls = structure_class(kind)
+    if cls.needs == "p":
+        if env_labels is not None:
+            p = len(env_labels)
+        if p is None:
+            raise InvalidInputError(
+                f"structure {kind!r} requires the number of environments"
+            )
+        return cls(p, env_labels)
+    matrix, what = (corr, "correlation") if cls.needs == "corr" else (dist, "distance")
+    if matrix is None:
+        raise InvalidInputError(f"structure {kind!r} requires a {what} matrix")
+    return cls(matrix, grid) if cls.takes_grid else cls(matrix)

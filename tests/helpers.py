@@ -8,6 +8,8 @@ they are checking.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from gxe_reml import (
@@ -16,7 +18,6 @@ from gxe_reml import (
     EnvFeatureMatrix,
     PhenotypeRecord,
     RelationshipMatrix,
-    build_design,
     build_structure,
     env_distance,
 )
@@ -89,6 +90,32 @@ def make_dataset(
             records.append(PhenotypeRecord(gens[g], envs[e], value))
             k += 1
     return Dataset(records, kin, envs)
+
+
+@dataclass
+class DesignMatrices:
+    """Fixed-effect incidence X and cell-selection matrix Z."""
+
+    X: np.ndarray
+    Z: np.ndarray
+
+
+def build_design(dataset: Dataset) -> DesignMatrices:
+    """Dense design matrices for the per-environment-mean model.
+
+    X is N x p: an intercept column, then an indicator column for every
+    environment after the first.  Z is N x (n*p), each row selecting one
+    cell of the environment-major cell vector (cell = e * n + g).
+    """
+    n, p = dataset.n, dataset.p
+    x = np.zeros((dataset.n_records, p))
+    z = np.zeros((dataset.n_records, n * p))
+    for r, (g, e) in enumerate(zip(dataset.gen_index_array, dataset.env_index_array)):
+        x[r, 0] = 1.0
+        if e > 0:
+            x[r, e] = 1.0
+        z[r, e * n + g] = 1.0
+    return DesignMatrices(x, z)
 
 
 def dense_reml(dataset: Dataset, sigma: np.ndarray, resid_var: float) -> float:

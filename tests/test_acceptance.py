@@ -24,7 +24,6 @@ from gxe_reml import (
     SimConfig,
     SparseDesign,
     average_kernel,
-    build_design,
     fit,
     gaussian_kernel,
     gdd_daily,
@@ -36,6 +35,7 @@ from gxe_reml import (
 )
 
 from helpers import (
+    build_design,
     fd_gradient,
     gaussian_reference_corr,
     make_dataset,

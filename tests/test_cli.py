@@ -348,6 +348,16 @@ class TestPredictCommand:
         assert rc == 2
         assert "nobody" in capsys.readouterr().err
 
+    def test_unknown_target_environment(self, tmp_path, workspace, capsys):
+        targets = tmp_path / "targets.csv"
+        targets.write_text("genotype,environment\nG0001,Mars\n")
+        rc = main([
+            "predict", "--fit", str(workspace["fit"]),
+            "--targets", str(targets), "--out", str(tmp_path / "pred.csv"),
+        ])
+        assert rc == 2
+        assert "Mars" in capsys.readouterr().err
+
 
 class TestCvCommand:
     def test_real_data_mode(self, tmp_path, workspace):
@@ -401,6 +411,28 @@ class TestCvCommand:
         ])
         assert rc == 2
         assert "missing required key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("env_means", "abc"),
+        ("p_environments", "x"),
+        ("grid", "abc"),
+        ("structure", "cor1"),  # a correlation structure with no corr key
+    ])
+    def test_sim_config_malformed_value(self, tmp_path, capsys, key, value):
+        entries = {
+            "structure": "main", "p_environments": "3", "n_genotypes": "20",
+            "n_markers": "80", "params": "1.0", "resid_var": "0.5",
+        }
+        entries[key] = value
+        cfg = tmp_path / "truth.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        rc = main([
+            "cv", "--sim-config", str(cfg), "--models", "main",
+            "--replicates", "1", "--envs-per-variety", "1",
+            "--checks", "2", "--out", str(tmp_path / "r.csv"),
+        ])
+        assert rc == 2, "a malformed simulation config is a data error"
+        assert str(cfg) in capsys.readouterr().err
 
 
 class TestEnvProcessCommand:

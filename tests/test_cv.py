@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from gxe_reml import cv, reml_core
 from gxe_reml import (
     CorrSingleVar,
     CvModel,
@@ -243,6 +244,35 @@ class TestRunCv:
         c = run_cv(**kwargs, jobs=2)
         assert strip(a) == strip(b), "repeated runs must agree exactly"
         assert strip(a) == strip(c), "worker count must not change results"
+
+    def test_covariance_factored_only_inside_fit(self, monkeypatch):
+        inside_fit = []
+        factored_inside = []
+        real_factor = reml_core._factor_covariance
+        real_fit = cv.fit
+
+        def recording_factor(*args, **kwargs):
+            factored_inside.append(bool(inside_fit))
+            return real_factor(*args, **kwargs)
+
+        def tracking_fit(*args, **kwargs):
+            inside_fit.append(True)
+            try:
+                return real_fit(*args, **kwargs)
+            finally:
+                inside_fit.pop()
+
+        monkeypatch.setattr(reml_core, "_factor_covariance", recording_factor)
+        monkeypatch.setattr(cv, "fit", tracking_fit)
+        report = run_cv(
+            ["cor1", "main"],
+            design(2, 1, replicates=2, seed=35),
+            sim_config=tiny_sim_config(seed=36),
+            jobs=1,
+        )
+        assert len(report.rows) == 4
+        assert factored_inside and all(factored_inside), \
+            "scoring held-out cells must reuse the fit's BLUPs, not refactor V"
 
     def test_series_orders_converged_rows(self):
         report = run_cv(

@@ -26,10 +26,10 @@ from gxe_reml import (
     RelationshipMatrix,
     SimConfig,
     UnknownLabelError,
-    build_design,
     build_structure,
     fit,
     gaussian_kernel,
+    lookup_cells,
     predict_cells,
     reml_loglik,
     score_and_ai,
@@ -37,6 +37,7 @@ from gxe_reml import (
 )
 
 from helpers import (
+    build_design,
     dense_cell_blups,
     dense_reml,
     fd_gradient,
@@ -98,7 +99,7 @@ class TestBuildDesign:
     def test_unobserved_environment_rejected(self):
         dataset = make_dataset(3, 3, seed=3, missing={(0, 2), (1, 2), (2, 2)})
         with pytest.raises(DesignError):
-            build_design(dataset)
+            reml_loglik(dataset, MainEffect(3), np.array([1.0]), 1.0)
 
 
 class TestRemlLoglik:
@@ -442,6 +443,26 @@ class TestPredictCells:
             gi = dataset.genotype_index(rec.genotype)
             ei = dataset.environment_index(rec.environment)
             assert np.isclose(pred.blup, result.blup_matrix[gi, ei], atol=1e-10)
+
+        # On the training records of a sparse fit, the lookup into the fit's
+        # BLUP matrix equals conditioning on those records, for every cell.
+        train = dataset.subset(range(0, dataset.n_records, 3))
+        result = fit(train, CorrSingleVar(corr))
+        cells = [(g, e) for e in train.environment_labels for g in train.genotype_labels]
+        looked_up = lookup_cells(result, cells)
+        conditioned = predict_cells(result, train, cells)
+        assert [(c.genotype, c.environment) for c in looked_up] == cells
+        for got, want in zip(looked_up, conditioned):
+            assert abs(got.blup - want.blup) < 1e-10
+            assert abs(got.fitted - want.fitted) < 1e-10
+
+    def test_lookup_rejects_unknown_labels(self):
+        dataset = make_dataset(4, 2, seed=51)
+        result = fit(dataset, MainEffect(2))
+        with pytest.raises(UnknownLabelError, match="nobody"):
+            lookup_cells(result, [("nobody", "E0")])
+        with pytest.raises(UnknownLabelError, match="E9"):
+            lookup_cells(result, [(dataset.genotype_labels[0], "E9")])
 
     def test_matches_joint_normal_partition(self):
         kin = random_kinship(3, seed=45)

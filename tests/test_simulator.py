@@ -150,7 +150,8 @@ class TestSimulateMet:
         assert [r.environment for r in records[:3]] == ["E01"] * 3
         assert [r.environment for r in records[3:]] == ["E02"] * 3
         assert [r.genotype for r in records[:3]] == ["G0001", "G0002", "G0003"]
-        assert np.array_equal(out.dataset.values, out.true_genetic_values), \
+        genetic = out.true_genetic_matrix.flatten(order="F")
+        assert np.array_equal(out.dataset.values, genetic), \
             "record order must be the environment-major flattening of the genetic matrix"
 
     def test_structure_labels_win(self):
@@ -174,7 +175,7 @@ class TestSimulateMet:
             out = simulate_met(
                 base_config(structure, [1.3], 0.0, n=n, seed=[18, rep], kinship=kin)
             )
-            draws[rep] = out.true_genetic_values
+            draws[rep] = out.true_genetic_matrix.flatten(order="F")
         sample = draws.T @ draws / reps
         rel = np.linalg.norm(sample - target) / np.linalg.norm(target)
         assert rel < 0.05, f"Monte Carlo covariance off by {rel:.3f} relative"

@@ -25,6 +25,7 @@ from gxe_reml import (
     gaussian_kernel,
     mean_offdiag,
 )
+from gxe_reml.variance_structures import structure_class
 
 from helpers import gaussian_reference_corr, random_distance, structure_zoo
 
@@ -261,14 +262,20 @@ class TestKernelAveraging:
                 KernelAveraging(dist, grid=grid)
 
 
+def structure_inputs(p, seed):
+    """build_structure keyword arguments for each declared input."""
+    return {
+        "p": {"p": p},
+        "corr": {"corr": gaussian_reference_corr(p, seed=seed)},
+        "dist": {"dist": random_distance(p, seed=seed + 1)},
+    }
+
+
 class TestBuildStructure:
     def test_every_kind_constructible(self):
-        corr = gaussian_reference_corr(4, seed=21)
-        dist = random_distance(4, seed=22)
+        inputs = structure_inputs(4, seed=21)
         for kind in STRUCTURE_KINDS:
-            structure = build_structure(
-                kind, p=4, env_labels=list(corr.labels), corr=corr, dist=dist
-            )
+            structure = build_structure(kind, **inputs[structure_class(kind).needs])
             assert structure.kind == kind
             assert structure.p == 4
 
@@ -277,12 +284,16 @@ class TestBuildStructure:
             build_structure("fancy", p=3)
 
     def test_missing_inputs_rejected(self):
-        with pytest.raises(InvalidInputError):
-            build_structure("cor1", p=3)
-        with pytest.raises(InvalidInputError):
-            build_structure("kern1", p=3)
-        with pytest.raises(InvalidInputError):
-            build_structure("main")
+        inputs = structure_inputs(3, seed=23)
+        for kind in STRUCTURE_KINDS:
+            needs = structure_class(kind).needs
+            others = {
+                key: value
+                for name, given in inputs.items() if name != needs
+                for key, value in given.items()
+            }
+            with pytest.raises(InvalidInputError, match="requires"):
+                build_structure(kind, **others)
 
     def test_non_psd_correlation_rejected(self):
         bad = EnvCorrelationMatrix(
