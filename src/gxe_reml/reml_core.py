@@ -31,9 +31,12 @@ P and K over environment pairs, so the per-parameter cost is O(p^2) after
 one O(N^2 p) pass.
 
 Cost per iteration: V is factored once per trial point, and the accepted
-trial's factor is reused for the score and AI matrix (potri turns it into P
-in place).  A fit factors V once at the start, once per accepted step and
-once per rejected step halving.
+trial's factor is reused for the score and AI matrix (potri turns it into
+the lower triangle of P in place, and only that triangle is read).  A fit
+factors V once at the start, once per accepted step and once per rejected
+step halving.  Products with an N-sized operand run on SciPy's BLAS, as the
+factorization does: NumPy and SciPy each bundle an OpenBLAS, and switching
+between their thread pools left one pool spinning while the other worked.
 
 BLUPs at the fitted parameters are u_hat = (Sigma_hat kron K) Z^T P y,
 computed as the n x p matrix K M Sigma_hat where M scatters P y over
@@ -242,7 +245,7 @@ def _factor_covariance(
     finiteness: an off-diagonal overflow leaves V indefinite, which the
     factorization reports.  Failures raise NumericalError.
     """
-    v = sigma[np.ix_(env_idx, env_idx)]
+    v = np.take(sigma[env_idx], env_idx, axis=1)
     v *= k_rec
     v.flat[:: len(env_idx) + 1] += resid_var
     if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(v.diagonal()))):
@@ -256,27 +259,24 @@ def _factor_covariance(
 
 
 def _chol_inverse(chol_lower: np.ndarray, downdate: np.ndarray) -> np.ndarray:
-    """Full symmetric V^-1 - D^T D from the lower Cholesky factor of V.
+    """Lower triangle of V^-1 - D^T D from the lower Cholesky factor of V.
 
     LAPACK potri writes the lower triangle of V^-1 over ``chol_lower``
-    (consuming the factor), syrk subtracts D^T D from it, and it is mirrored
-    into the upper triangle in place: no N x N array besides the factor.
+    (consuming the factor) and syrk subtracts D^T D from it; the strict
+    upper triangle keeps the zeros ``scipy.linalg.cholesky`` left there.
     """
     inv, info = lapack.dpotri(chol_lower, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"triangular inversion failed (potri info {info})")
-    inv = blas.dsyrk(-1.0, downdate, beta=1.0, c=inv, trans=1, lower=1, overwrite_c=1)
-    for j in range(inv.shape[0] - 1):
-        inv[j, j + 1 :] = inv[j + 1 :, j]
-    return inv
+    return blas.dsyrk(-1.0, downdate, beta=1.0, c=inv, trans=1, lower=1, overwrite_c=1)
 
 
 def _cell_blups(dataset: Dataset, weights: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """n x p BLUP matrix K M Sigma, M scattering per-record ``weights``
     (V^-1 times the mean-adjusted phenotypes) over the observed cells."""
-    m = np.zeros((dataset.n, dataset.p))
+    m = np.zeros((dataset.n, dataset.p), order="F")
     m[dataset.gen_index_array, dataset.env_index_array] = weights
-    return dataset.kinship.values @ m @ sigma
+    return blas.dgemm(1.0, blas.dgemm(1.0, dataset.kinship.values.T, m), sigma)
 
 
 class _PointEvaluation:
@@ -312,31 +312,31 @@ class _PointEvaluation:
         """Score vector and average-information matrix (structure params
         in order, residual variance last).
 
-        Consumes the Cholesky factor, which potri overwrites with P, so it
-        runs at most once per point.
+        Consumes the Cholesky factor, which potri overwrites with P's lower
+        triangle, so it runs at most once per point.
         """
         ws = self.ws
         # P = V^-1 - V^-1 X A^-1 X^T V^-1 = V^-1 - W^T W, W = L_A^-1 (V^-1 X)^T.
         w_fix = scipy.linalg.solve_triangular(self.chol_a, self.vi_x.T, lower=True)
-        p_mat = _chol_inverse(self.chol, w_fix)
+        p_low = _chol_inverse(self.chol, w_fix)
         self.chol = None
         py = self.py
-        h = ws.k_rec @ (ws.env_onehot * py[:, None])
-        k = len(derivs)
-        w = np.empty((ws.n_rec, k + 1))
-        for i, d in enumerate(derivs):
-            w[:, i] = (h * d[ws.env_idx, :]).sum(axis=1)
-        w[:, k] = py
-        ai = 0.5 * (w.T @ (p_mat @ w))
-        tr_vec = np.empty(k + 1)
-        tr_vec[k] = float(np.trace(p_mat))
-        # P * K in place; RelationshipMatrix makes K exactly symmetric, so K^T
-        # has the same values in P's (Fortran) layout.
-        p_mat *= ws.k_rec.T
-        t_agg = ws.env_onehot.T @ p_mat @ ws.env_onehot
-        for i, d in enumerate(derivs):
-            tr_vec[i] = float(np.sum(d * t_agg))
-        grad = -0.5 * (tr_vec - w.T @ py)
+        # K is exactly symmetric, so k_rec.T is k_rec in P's (Fortran) layout.
+        k_rec, onehot = ws.k_rec.T, ws.env_onehot
+        h = blas.dgemm(1.0, k_rec, onehot * py[:, None])
+        # N x (k + 1) in Fortran order: Vdot_i P y per structure parameter, then P y.
+        w = np.array([(h * d[ws.env_idx]).sum(axis=1) for d in derivs] + [py]).T
+        ai = 0.5 * blas.dgemm(1.0, w, blas.dsymm(1.0, p_low, w, lower=1), trans_a=1)
+        tr_p = np.trace(p_low)
+        # Environment aggregate of P * K from the lower triangle L of P * K:
+        # T = E^T L E + (E^T L E)^T - diag(per-environment sums of diag(L)).
+        p_low *= k_rec
+        t_low = blas.dgemm(1.0, onehot, blas.dgemm(1.0, p_low, onehot), trans_a=1)
+        diag_l = np.bincount(ws.env_idx, p_low.diagonal(), len(t_low))
+        t_agg = t_low + t_low.T - np.diag(diag_l)
+        tr_vec = np.array([np.sum(d * t_agg) for d in derivs] + [tr_p])
+        # Column sums, not gemv: each entry is then independent of k.
+        grad = -0.5 * (tr_vec - (w * py[:, None]).sum(axis=0))
         return grad, 0.5 * (ai + ai.T)
 
 
@@ -357,16 +357,12 @@ class _RemlWorkspace:
                 f"(structure: {structure.env_labels}, "
                 f"dataset: {dataset.environment_labels})"
             )
-        self.dataset = dataset
         self.y = dataset.values
-        self.n_rec = dataset.n_records
-        self.gen_idx = dataset.gen_index_array
         self.env_idx = dataset.env_index_array
         self.x = _design_x(dataset)
-        self.k_rec = dataset.kinship.values[np.ix_(self.gen_idx, self.gen_idx)]
-        onehot = np.zeros((self.n_rec, dataset.p))
-        onehot[np.arange(self.n_rec), self.env_idx] = 1.0
-        self.env_onehot = onehot
+        gen = dataset.gen_index_array
+        self.k_rec = np.take(dataset.kinship.values[gen], gen, axis=1)
+        self.env_onehot = np.asfortranarray(np.eye(dataset.p)[self.env_idx])
 
     def point(self, sigma: np.ndarray, resid_var: float) -> _PointEvaluation:
         return _PointEvaluation(self, sigma, resid_var)
@@ -494,8 +490,10 @@ def fit(
 
     Each accepted step costs one Cholesky factorization of the N x N
     covariance V, since the accepted trial point is reused for the
-    derivatives, plus one per rejected halving.  Trial points whose
-    parameters overflow are skipped without factoring.
+    derivatives, plus one per rejected halving; P is formed and read as its
+    lower triangle and N x N products run on SciPy's BLAS (module docstring).
+    Trial points whose parameters overflow are skipped without factoring.  A
+    parameter at the lower bound pushed further down is left out of the step.
 
     Args:
         dataset: Observed records plus kinship.
@@ -564,10 +562,13 @@ def fit(
     for _ in range(max_iter):
         g_eta = grad * params
         ai_eta = ai * np.outer(params, params)
+        # Halving a step that pushes a pinned coordinate down gains nothing.
+        moving = free & ~((eta <= _LOG_LOWER_BOUND) & (g_eta < 0.0))
         step = np.zeros(k + 1)
-        step[free] = np.clip(
-            _ascent_step(ai_eta[np.ix_(free, free)], g_eta[free]), -5.0, 5.0
-        )
+        if moving.any():
+            step[moving] = np.clip(
+                _ascent_step(ai_eta[np.ix_(moving, moving)], g_eta[moving]), -5.0, 5.0
+            )
         accepted = None
         for half in range(_MAX_HALVINGS + 1):
             eta_new = eta + step / (2.0**half)
@@ -687,9 +688,8 @@ def predict_cells(
     env_means = fit_result.environment_means()
     if dataset.n_records:
         env_idx = dataset.env_index_array
-        k_rec = dataset.kinship.values[
-            np.ix_(dataset.gen_index_array, dataset.gen_index_array)
-        ]
+        gen = dataset.gen_index_array
+        k_rec = np.take(dataset.kinship.values[gen], gen, axis=1)
         chol = _factor_covariance(sigma_hat, fit_result.resid_var_hat, env_idx, k_rec)
         resid = dataset.values - env_means[env_idx]
         py = scipy.linalg.cho_solve((chol, True), resid, check_finite=False)

@@ -139,6 +139,34 @@ def dense_reml(dataset: Dataset, sigma: np.ndarray, resid_var: float) -> float:
     return -0.5 * (ld_v + ld_a + float(y @ proj @ y))
 
 
+def dense_score_and_ai(
+    dataset: Dataset, structure, kappa: np.ndarray, resid_var: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score vector and AI matrix from an explicit P, ordered like
+    ``score_and_ai`` ([structure parameters..., resid_var]).
+
+    Vdot_i = Z (dSigma/dkappa_i kron K) Z^T with a materialized Kronecker
+    product, and Vdot = I for the residual variance; then
+    score_i = -1/2 (tr(P Vdot_i) - y^T P Vdot_i P y) and
+    AI_ij = 1/2 y^T P Vdot_i P Vdot_j P y.
+    """
+    design = build_design(dataset)
+    x, z = design.X, design.Z
+    y = dataset.values
+    kin = dataset.kinship.values
+    ev = structure.evaluate(np.asarray(kappa, dtype=float))
+    eye = np.eye(len(y))
+    vi = np.linalg.inv(z @ np.kron(ev.sigma, kin) @ z.T + resid_var * eye)
+    proj = vi - vi @ x @ np.linalg.inv(x.T @ vi @ x) @ x.T @ vi
+    vdots = [z @ np.kron(d, kin) @ z.T for d in ev.derivs] + [eye]
+    py = proj @ y
+    score = np.array(
+        [-0.5 * (np.trace(proj @ vd) - py @ vd @ py) for vd in vdots]
+    )
+    u = np.column_stack([vd @ py for vd in vdots])
+    return score, 0.5 * (u.T @ proj @ u)
+
+
 def dense_cell_blups(
     dataset: Dataset, sigma: np.ndarray, resid_var: float, env_means: np.ndarray
 ) -> np.ndarray:

@@ -40,11 +40,13 @@ from helpers import (
     build_design,
     dense_cell_blups,
     dense_reml,
+    dense_score_and_ai,
     fd_gradient,
     gaussian_reference_corr,
     make_dataset,
     random_distance,
     random_kinship,
+    structure_zoo,
 )
 
 
@@ -209,6 +211,28 @@ class TestScoreAndAi:
                     / np.maximum.reduce([np.abs(grad), np.abs(numeric), np.ones_like(grad)])
                 )
                 assert err < 1e-4, f"{structure.kind}: gradient off by {err:.2e}"
+
+    def test_matches_dense_oracle(self):
+        # Unequal record counts per environment (9, 7, 8, 6), records shuffled.
+        n, p = 9, 4
+        missing = {(0, 1), (3, 1), (5, 2), (1, 3), (2, 3), (7, 3)}
+        base = make_dataset(n, p, seed=60, missing=missing)
+        order = np.random.default_rng(61).permutation(base.n_records)
+        dataset = Dataset(
+            [base.records[i] for i in order],
+            base.kinship,
+            list(base.environment_labels),
+        )
+        rng = np.random.default_rng(62)
+        for structure, draw in structure_zoo(p, seed=63):
+            kappa = draw(rng)
+            resid = float(rng.uniform(0.4, 1.5))
+            grad, ai = score_and_ai(dataset, structure, kappa, resid)
+            ref_grad, ref_ai = dense_score_and_ai(dataset, structure, kappa, resid)
+            g_err = np.max(np.abs(grad - ref_grad)) / np.max(np.abs(ref_grad))
+            a_err = np.max(np.abs(ai - ref_ai)) / np.max(np.abs(ref_ai))
+            assert g_err < 1e-9, f"{structure.kind}: score off by {g_err:.2e}"
+            assert a_err < 1e-9, f"{structure.kind}: AI matrix off by {a_err:.2e}"
 
     def test_ai_symmetric(self):
         dataset = make_dataset(10, 3, seed=19)
@@ -408,6 +432,38 @@ class TestFit:
             )
         assert "var" in result.boundary_params
         assert any("boundary" in rec.message for rec in caplog.records)
+
+    def test_pinned_variance_leaves_the_rest_stationary(self):
+        # E1 carries no genetic variance, so var[1] ends at the lower bound;
+        # the other coordinates must still reach a stationary point.
+        n, p = 30, 4
+        rng = np.random.default_rng(6)
+        kin = random_kinship(n, seed=106)
+        u = np.linalg.cholesky(kin.values) @ rng.normal(size=(n, p))
+        y = (u * [1.0, 0.0, 1.0, 0.8] + 0.8 * rng.normal(size=(n, p))).T.ravel()
+        dataset = make_dataset(n, p, seed=6, kinship=kin, y=y)
+        structure = DiagonalVariance(p)
+        result = fit(dataset, structure)
+        params = np.concatenate([result.kappa_hat, [result.resid_var_hat]])
+        pinned = np.log(params) <= reml_core._LOG_LOWER_BOUND + 1e-9
+        assert result.converged
+        assert result.boundary_params == ["var[1]"] and pinned[1]
+        grad, _ = score_and_ai(
+            dataset, structure, result.kappa_hat, result.resid_var_hat
+        )
+        scaled = np.abs(grad * params)[~pinned]
+        assert np.max(scaled) < 1e-3, \
+            f"log-scale gradient {np.max(scaled):.2e} off the bound at convergence"
+
+    def test_every_parameter_pinned_converges(self):
+        # y equals its environment means, so P y = 0 and every gradient points
+        # down: all coordinates end pinned and the step has none left to move.
+        dataset = make_dataset(6, 3, seed=1, y=np.repeat([1.0, 2.0, 4.0], 6))
+        result = fit(dataset, DiagonalVariance(3))
+        assert result.converged
+        assert sorted(result.boundary_params) == [
+            "resid_var", "var[0]", "var[1]", "var[2]"
+        ]
 
     def test_environment_means_recovered(self):
         corr = gaussian_reference_corr(3, seed=40)
