@@ -39,6 +39,14 @@ class UsageError(Exception):
     """Bad flags or flag combinations; exits with status 1."""
 
 
+class _MissingOption(UsageError):
+    """A required flag is absent; ``key`` is its config-file name."""
+
+    def __init__(self, command: str, key: str):
+        super().__init__(f"gxe-reml {command}: --{key.replace('_', '-')} is required")
+        self.key = key
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we map usage to 1
         raise UsageError(f"{self.prog}: {message}")
@@ -143,10 +151,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
 def _apply_config(parser: _Parser, command: str, config: dict[str, str]) -> None:
     """Install config values as defaults on the matching subparser."""
     sub_actions = [
@@ -158,18 +162,12 @@ def _apply_config(parser: _Parser, command: str, config: dict[str, str]) -> None
         if key not in known:
             raise UsageError(f"config key {key!r} is not a {command} option")
         action = known[key]
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            low = raw.lower()
-            if low not in _TRUE | _FALSE:
-                raise UsageError(f"config key {key!r}: expected a boolean, got {raw!r}")
-            value: object = low in _TRUE
-        elif action.type is not None:
+        value = raw
+        if action.type is not None:
             try:
                 value = action.type(raw)
             except (TypeError, ValueError):
                 raise UsageError(f"config key {key!r}: bad value {raw!r}")
-        else:
-            value = raw
         if action.choices is not None and value not in action.choices:
             raise UsageError(
                 f"config key {key!r}: {value!r} is not one of "
@@ -192,8 +190,7 @@ def _scan_config_path(argv: Sequence[str]) -> str | None:
 def _require(args: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(args, name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise UsageError(f"gxe-reml {args.command}: {flag} is required")
+            raise _MissingOption(args.command, name)
 
 
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
@@ -206,9 +203,7 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     parser = _build_parser()
     command = next((tok for tok in argv if not tok.startswith("-")), None)
     config_path = _scan_config_path(argv)
-    if config_path is not None and command in (
-        "env-process", "simulate", "fit", "predict", "cv"
-    ):
+    if config_path is not None and command in _HANDLERS:
         _apply_config(parser, command, gio.read_config_file(config_path))
     args = parser.parse_args(list(argv))
     if args.command is None:
@@ -233,6 +228,16 @@ def _check_structure_matrices(args: argparse.Namespace) -> None:
         raise UsageError("--grid applies only to kernel averaging (--structure ka)")
 
 
+def _check_simulate(args: argparse.Namespace) -> None:
+    """The simulate checks that do not concern --out (shared with --sim-config)."""
+    _require(args, "structure", "n_genotypes", "n_markers", "params", "resid_var")
+    if args.n_genotypes < 2 or args.n_markers < 2:
+        raise UsageError("--n-genotypes and --n-markers must be >= 2")
+    if structure_class(args.structure).needs == "p" and args.p_environments is None:
+        raise UsageError(f"--structure {args.structure} requires --p-environments")
+    _check_structure_matrices(args)
+
+
 def _validate(args: argparse.Namespace) -> None:
     cmd = args.command
     if cmd == "env-process":
@@ -243,15 +248,8 @@ def _validate(args: argparse.Namespace) -> None:
         if args.window_parsed[0] >= args.window_parsed[1]:
             raise UsageError("--window: lo must be less than hi")
     elif cmd == "simulate":
-        _require(args, "structure", "n_genotypes", "n_markers",
-                 "params", "resid_var", "out")
-        if args.n_genotypes < 2 or args.n_markers < 2:
-            raise UsageError("--n-genotypes and --n-markers must be >= 2")
-        if structure_class(args.structure).needs == "p" and args.p_environments is None:
-            raise UsageError(
-                f"--structure {args.structure} requires --p-environments"
-            )
-        _check_structure_matrices(args)
+        _check_simulate(args)
+        _require(args, "out")
     elif cmd == "fit":
         _require(args, "phenotypes", "kinship", "structure", "out")
         if args.max_iter < 1:
@@ -286,14 +284,70 @@ def _validate(args: argparse.Namespace) -> None:
                 )
 
 
-def _load_structure(args: argparse.Namespace, p: int | None = None,
-                    env_labels: Sequence[str] | None = None):
-    corr = gio.read_correlation_csv(args.corr) if args.corr else None
-    dist = gio.read_distance_csv(args.dist) if args.dist else None
-    grid = _floats(args.grid, "--grid") if args.grid else None
-    return build_structure(
-        args.structure, p=p, env_labels=env_labels, corr=corr, dist=dist, grid=grid
+def _structure_inputs(args: argparse.Namespace) -> dict:
+    """The ``corr``, ``dist`` and ``grid`` inputs of build_structure, from the flags."""
+    return {
+        "corr": gio.read_correlation_csv(args.corr) if args.corr else None,
+        "dist": gio.read_distance_csv(args.dist) if args.dist else None,
+        "grid": tuple(_floats(args.grid, "--grid")) if args.grid else None,
+    }
+
+
+def _read_dataset(args: argparse.Namespace) -> tuple[Dataset, dict]:
+    """``--phenotypes`` and ``--kinship`` as a Dataset, plus the matrix flags.
+
+    Environments take the label order of the supplied correlation or
+    distance matrix, else their order of first appearance in the phenotypes.
+    """
+    # data files are read before the matrices so CSV errors surface first
+    records = gio.read_phenotypes_csv(args.phenotypes)
+    kinship = gio.read_kinship_csv(args.kinship)
+    inputs = _structure_inputs(args)
+    matrix = inputs["corr"] if inputs["corr"] is not None else inputs["dist"]
+    env_labels = (
+        matrix.labels if matrix is not None
+        else list(dict.fromkeys(rec.environment for rec in records))
     )
+    return Dataset(records, kinship, env_labels), inputs
+
+
+def _sim_config(args: argparse.Namespace) -> SimConfig:
+    """The simulation truth described by a validated simulate namespace."""
+    structure = build_structure(
+        args.structure, p=args.p_environments, **_structure_inputs(args)
+    )
+    env_means: float | list[float] = 0.0
+    if args.env_means is not None:
+        values = _floats(args.env_means, "--env-means")
+        env_means = values[0] if len(values) == 1 else values
+    return SimConfig(
+        n_genotypes=args.n_genotypes,
+        n_markers=args.n_markers,
+        structure=structure,
+        true_params=np.array(_floats(args.params, "--params")),
+        resid_var=args.resid_var,
+        env_means=env_means,
+        seed=args.seed,
+    )
+
+
+def _read_sim_config(path) -> SimConfig:
+    """``cv --sim-config``: the file is read as ``simulate --config`` reads it.
+
+    Every key is a simulate option (``out`` is not needed); any failure is
+    a DataError naming the file.
+    """
+    parser = _build_parser()
+    try:
+        _apply_config(parser, "simulate", gio.read_config_file(path))
+        args = parser.parse_args(["simulate"])
+        _check_simulate(args)
+        return _sim_config(args)
+    except _MissingOption as exc:
+        raise DataError(f"{path}: missing required key {exc.key!r}") from None
+    except (UsageError, ValueError) as exc:
+        # InvalidInputError from build_structure or SimConfig is a ValueError.
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _cmd_env_process(args: argparse.Namespace) -> None:
@@ -315,21 +369,7 @@ def _cmd_env_process(args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
-    structure = _load_structure(args, p=args.p_environments)
-    params = np.array(_floats(args.params, "--params"))
-    env_means: float | list[float] = 0.0
-    if args.env_means is not None:
-        values = _floats(args.env_means, "--env-means")
-        env_means = values[0] if len(values) == 1 else values
-    config = SimConfig(
-        n_genotypes=args.n_genotypes,
-        n_markers=args.n_markers,
-        structure=structure,
-        true_params=params,
-        resid_var=args.resid_var,
-        env_means=env_means,
-        seed=args.seed,
-    )
+    config = _sim_config(args)
     out = simulate_met(config)
     os.makedirs(args.out, exist_ok=True)
     gio.write_phenotypes_csv(
@@ -342,7 +382,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         out.dataset.genotype_labels,
     )
     gio.write_truth_csv(
-        os.path.join(args.out, "truth.csv"), out, structure.param_names()
+        os.path.join(args.out, "truth.csv"), out, config.structure.param_names()
     )
     logger.info(
         "simulated %d genotypes x %d environments into %s",
@@ -350,21 +390,11 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     )
 
 
-def _build_dataset(phenotypes_path, kinship_path, env_labels=None) -> Dataset:
-    records = gio.read_phenotypes_csv(phenotypes_path)
-    kinship = gio.read_kinship_csv(kinship_path)
-    if env_labels is None:
-        env_labels = list(dict.fromkeys(rec.environment for rec in records))
-    return Dataset(records, kinship, env_labels)
-
-
 def _cmd_fit(args: argparse.Namespace) -> None:
-    # data files are read before the structure so CSV errors surface first
-    records = gio.read_phenotypes_csv(args.phenotypes)
-    kinship = gio.read_kinship_csv(args.kinship)
-    data_labels = list(dict.fromkeys(rec.environment for rec in records))
-    structure = _load_structure(args, p=len(data_labels), env_labels=data_labels)
-    dataset = Dataset(records, kinship, structure.env_labels or data_labels)
+    dataset, inputs = _read_dataset(args)
+    structure = build_structure(
+        args.structure, env_labels=dataset.environment_labels, **inputs
+    )
     init = np.array(_floats(args.init, "--init")) if args.init else None
     result = fit(
         dataset, structure,
@@ -391,49 +421,15 @@ def _cmd_predict(args: argparse.Namespace) -> None:
     logger.info("%d predictions written to %s", len(targets), args.out)
 
 
-def _sim_config_from_file(path) -> SimConfig:
-    cfg = gio.read_config_file(path)
-    def need(key: str) -> str:
-        if key not in cfg:
-            raise DataError(f"{path}: missing required key {key!r}")
-        return cfg[key]
-
-    def numbers(text: str) -> list[float]:
-        return [float(t) for t in text.split(",") if t.strip()]
-
-    kind = need("structure")
-    corr = gio.read_correlation_csv(cfg["corr"]) if "corr" in cfg else None
-    dist = gio.read_distance_csv(cfg["dist"]) if "dist" in cfg else None
-    try:
-        structure = build_structure(
-            kind,
-            p=int(cfg["p_environments"]) if "p_environments" in cfg else None,
-            corr=corr,
-            dist=dist,
-            grid=numbers(cfg["grid"]) if "grid" in cfg else None,
-        )
-        env_means: float | list[float] = 0.0
-        if "env_means" in cfg:
-            values = numbers(cfg["env_means"])
-            env_means = values[0] if len(values) == 1 else values
-        return SimConfig(
-            n_genotypes=int(need("n_genotypes")),
-            n_markers=int(need("n_markers")),
-            structure=structure,
-            true_params=np.array(numbers(need("params"))),
-            resid_var=float(need("resid_var")),
-            env_means=env_means,
-            seed=int(cfg.get("seed", "0")),
-        )
-    except ValueError as exc:
-        # InvalidInputError from build_structure or SimConfig is a ValueError.
-        raise DataError(f"{path}: {exc}") from None
-
-
 def _cmd_cv(args: argparse.Namespace) -> None:
+    sim_config = dataset = None
+    if args.sim_config is not None:
+        sim_config = _read_sim_config(args.sim_config)
+        inputs = _structure_inputs(args)
+    else:
+        dataset, inputs = _read_dataset(args)
     # build_structure ignores the grid for kinds without one.
-    grid = tuple(_floats(args.grid, "--grid")) if args.grid else None
-    models = [CvModel(label=k.strip(), kind=k.strip(), grid=grid)
+    models = [CvModel(label=k.strip(), kind=k.strip(), grid=inputs["grid"])
               for k in args.models.split(",")]
     design = SparseDesign(
         n_checks=args.checks,
@@ -441,23 +437,12 @@ def _cmd_cv(args: argparse.Namespace) -> None:
         replicates=args.replicates,
         seed=args.seed,
     )
-    corr = gio.read_correlation_csv(args.corr) if args.corr else None
-    dist = gio.read_distance_csv(args.dist) if args.dist else None
     lambdas = _floats(args.lambdas, "--lambdas") if args.lambdas else None
-    if args.sim_config is not None:
-        report = run_cv(
-            models, design,
-            sim_config=_sim_config_from_file(args.sim_config),
-            corr=corr, dist=dist, lambdas=lambdas,
-            max_iter=args.max_iter, tol=args.tol, jobs=args.jobs,
-        )
-    else:
-        dataset = _build_dataset(args.phenotypes, args.kinship)
-        report = run_cv(
-            models, design, dataset=dataset,
-            corr=corr, dist=dist, lambdas=lambdas,
-            max_iter=args.max_iter, tol=args.tol, jobs=args.jobs,
-        )
+    report = run_cv(
+        models, design, sim_config=sim_config, dataset=dataset,
+        corr=inputs["corr"], dist=inputs["dist"], lambdas=lambdas,
+        max_iter=args.max_iter, tol=args.tol, jobs=args.jobs,
+    )
     report.write_csv(args.out)
     n_failed = sum(1 for r in report.rows if not r.converged)
     logger.info(
@@ -479,6 +464,9 @@ def dispatch(args: argparse.Namespace) -> int:
     """Run the selected subcommand, mapping errors to exit codes."""
     try:
         _HANDLERS[args.command](args)
+    except UsageError as exc:  # a malformed number list, found while running
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (DataError, InvalidInputError) as exc:
         print(f"gxe-reml: error: {exc}", file=sys.stderr)
         return 2

@@ -218,12 +218,14 @@ def read_config_file(path) -> dict[str, str]:
     return out
 
 
+def _beta_names(environment_labels: Sequence[str]) -> list[str]:
+    return ["beta[intercept]"] + [f"beta[env:{lab}]" for lab in environment_labels[1:]]
+
+
 def write_fit_dir(out_dir, result: FitResult) -> None:
     """Write params.csv, blups.csv, loglik.csv, and ai.csv for one fit."""
     os.makedirs(out_dir, exist_ok=True)
-    beta_names = ["beta[intercept]"] + [
-        f"beta[env:{lab}]" for lab in result.environment_labels[1:]
-    ]
+    beta_names = _beta_names(result.environment_labels)
     with open(os.path.join(out_dir, "params.csv"), "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["name", "value"])
@@ -258,17 +260,13 @@ def write_fit_dir(out_dir, result: FitResult) -> None:
 class StoredFit:
     """Fit directory contents needed to serve predictions."""
 
-    params: dict[str, float]
     environment_labels: list[str]
     genotype_labels: list[str]
     blup_matrix: np.ndarray
+    beta_hat: np.ndarray
 
-    def environment_means(self) -> np.ndarray:
-        means = np.empty(len(self.environment_labels))
-        means[0] = self.params["beta[intercept]"]
-        for j, lab in enumerate(self.environment_labels[1:], start=1):
-            means[j] = self.params["beta[intercept]"] + self.params[f"beta[env:{lab}]"]
-        return means
+    # One rule for fitted and stored models: intercept plus environment effect.
+    environment_means = FitResult.environment_means
 
 
 def read_fit_dir(fit_dir) -> StoredFit:
@@ -321,10 +319,12 @@ def read_fit_dir(fit_dir) -> StoredFit:
                 f"{blups_path}: unexpected cell ({g!r}, {e!r}); the file must "
                 "cover a complete genotype-by-environment grid"
             ) from None
-    missing = [name for name in ("beta[intercept]", "resid_var") if name not in params]
+    beta_names = _beta_names(environment_labels)
+    missing = [name for name in beta_names + ["resid_var"] if name not in params]
     if missing:
         raise DataError(f"{params_path}: missing required entries: {missing}")
-    return StoredFit(params, environment_labels, genotype_labels, blup_matrix)
+    beta_hat = np.array([params[name] for name in beta_names])
+    return StoredFit(environment_labels, genotype_labels, blup_matrix, beta_hat)
 
 
 def write_cv_report(path, rows) -> None:

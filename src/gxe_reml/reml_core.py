@@ -493,7 +493,9 @@ def fit(
     derivatives, plus one per rejected halving; P is formed and read as its
     lower triangle and N x N products run on SciPy's BLAS (module docstring).
     Trial points whose parameters overflow are skipped without factoring.  A
-    parameter at the lower bound pushed further down is left out of the step.
+    parameter at the lower bound pushed further down is left out of the step,
+    and a log-scale step is clipped to +-5, or scaled whole to that size when
+    clipping would leave it no ascent direction.
 
     Args:
         dataset: Observed records plus kinship.
@@ -566,9 +568,12 @@ def fit(
         moving = free & ~((eta <= _LOG_LOWER_BOUND) & (g_eta < 0.0))
         step = np.zeros(k + 1)
         if moving.any():
-            step[moving] = np.clip(
-                _ascent_step(ai_eta[np.ix_(moving, moving)], g_eta[moving]), -5.0, 5.0
-            )
+            full = _ascent_step(ai_eta[np.ix_(moving, moving)], g_eta[moving])
+            clipped = np.clip(full, -5.0, 5.0)
+            # Clipping a near-singular step can leave no ascent; shrink it whole.
+            if float(g_eta[moving] @ clipped) <= 0.0:
+                clipped = full * (5.0 / np.max(np.abs(full)))
+            step[moving] = clipped
         accepted = None
         for half in range(_MAX_HALVINGS + 1):
             eta_new = eta + step / (2.0**half)

@@ -91,6 +91,15 @@ class TestUsageErrors:
             capsys, "--params is required",
         )
 
+    def test_malformed_number_list(self, tmp_path, capsys):
+        # parsed while the command runs, yet still a usage error, not a crash
+        self.run_expecting_usage(
+            ["simulate", "--structure", "main", "--p-environments", "3",
+             "--n-genotypes", "10", "--n-markers", "40", "--params", "abc",
+             "--resid-var", "0.5", "--out", str(tmp_path / "o")],
+            capsys, "--params: expected comma-separated numbers",
+        )
+
     def test_kernel_structure_without_distances(self, capsys):
         self.run_expecting_usage(
             ["fit", "--phenotypes", "x", "--kinship", "k",
@@ -348,6 +357,25 @@ class TestPredictCommand:
         assert rc == 2
         assert "nobody" in capsys.readouterr().err
 
+    def test_missing_beta_row_is_data_error(self, tmp_path, workspace, capsys):
+        fit_dir = tmp_path / "fit"
+        fit_dir.mkdir()
+        for name in ("blups.csv", "loglik.csv", "ai.csv"):
+            (fit_dir / name).write_bytes((workspace["fit"] / name).read_bytes())
+        dropped = f"beta[env:{workspace['env_labels'][1]}]"
+        rows = read_csv_rows(workspace["fit"] / "params.csv")
+        with open(fit_dir / "params.csv", "w", newline="") as handle:
+            csv.writer(handle).writerows(r for r in rows if r[0] != dropped)
+        targets = tmp_path / "targets.csv"
+        targets.write_text(f"genotype,environment\nG0001,{workspace['env_labels'][0]}\n")
+        rc = main([
+            "predict", "--fit", str(fit_dir),
+            "--targets", str(targets), "--out", str(tmp_path / "pred.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2, "a fit directory without a beta row is a data error"
+        assert "params.csv" in err and dropped in err
+
     def test_unknown_target_environment(self, tmp_path, workspace, capsys):
         targets = tmp_path / "targets.csv"
         targets.write_text("genotype,environment\nG0001,Mars\n")
@@ -376,6 +404,31 @@ class TestCvCommand:
         assert len(rows) == 1 + 2 * 2, "two models times two replicates"
         assert {r[0] for r in rows[1:]} == {"main", "cor1"}
         assert all(r[6] in {"0", "1"} for r in rows[1:])
+
+    def test_environment_order_follows_the_matrix(self, tmp_path, workspace):
+        # The REML likelihood does not depend on which environment is the
+        # reference level, so a reordered correlation file fits the same.
+        values, labels, _ = gio.read_matrix_csv(workspace["corr"])
+        reversed_corr = tmp_path / "corr_reversed.csv"
+        gio.write_matrix_csv(
+            reversed_corr, values[::-1, ::-1], labels[::-1], labels[::-1]
+        )
+        reports = []
+        for corr in (workspace["corr"], reversed_corr):
+            out = tmp_path / f"{corr.stem}.csv"
+            rc = main([
+                "cv", "--phenotypes", str(workspace["sim"] / "phenotypes.csv"),
+                "--kinship", str(workspace["sim"] / "kinship.csv"),
+                "--models", "main,cor1", "--corr", str(corr),
+                "--checks", "2", "--envs-per-variety", "1",
+                "--replicates", "2", "--seed", "3", "--out", str(out),
+            ])
+            assert rc == 0, f"cv with {corr.name} must succeed"
+            reports.append(read_csv_rows(out)[1:])
+        for row, other in zip(*reports):
+            assert row[:3] == other[:3] and row[2] == "0"
+            for col in (3, 4):  # mean_pearson, mean_rmse
+                assert float(row[col]) == pytest.approx(float(other[col]), abs=1e-8)
 
     def test_simulation_mode(self, tmp_path, workspace):
         cfg = tmp_path / "truth.cfg"
@@ -411,6 +464,39 @@ class TestCvCommand:
         ])
         assert rc == 2
         assert "missing required key" in capsys.readouterr().err
+
+    def test_sim_config_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "truth.cfg"
+        cfg.write_text(
+            "structure = main\np_environments = 3\nn_genotypes = 20\n"
+            "n_markers = 80\nparams = 1.0\nresid_var = 0.5\nseeds = 5\n"
+        )
+        rc = main([
+            "cv", "--sim-config", str(cfg), "--models", "main",
+            "--replicates", "1", "--envs-per-variety", "1",
+            "--checks", "2", "--out", str(tmp_path / "r.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2, "a mistyped truth key must not be silently ignored"
+        assert str(cfg) in err and "'seeds'" in err
+
+    def test_sim_config_reads_simulate_config_files(self, tmp_path, workspace):
+        cfg = tmp_path / "truth.cfg"
+        cfg.write_text(
+            "structure = corP\n"
+            f"corr = {workspace['corr']}\n"
+            "n_genotypes = 20\nn_markers = 80\nparams = 1.0,0.8,0.6\n"
+            "resid_var = 0.5\nenv_means = 1,2,3\nseed = 4\n"
+            f"out = {tmp_path / 'unused'}\n"
+        )
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        rc = main([
+            "cv", "--sim-config", str(cfg), "--models", "cor1",
+            "--replicates", "1", "--envs-per-variety", "1",
+            "--checks", "2", "--out", str(tmp_path / "r.csv"),
+        ])
+        assert rc == 0, "a file simulate accepts must be a valid --sim-config"
+        assert not (tmp_path / "unused").exists(), "cv ignores the out key"
 
     @pytest.mark.parametrize("key, value", [
         ("env_means", "abc"),

@@ -433,15 +433,16 @@ class TestFit:
         assert "var" in result.boundary_params
         assert any("boundary" in rec.message for rec in caplog.records)
 
-    def test_pinned_variance_leaves_the_rest_stationary(self):
+    @staticmethod
+    def _assert_stationary_off_bound(seed):
         # E1 carries no genetic variance, so var[1] ends at the lower bound;
         # the other coordinates must still reach a stationary point.
         n, p = 30, 4
-        rng = np.random.default_rng(6)
-        kin = random_kinship(n, seed=106)
+        rng = np.random.default_rng(seed)
+        kin = random_kinship(n, seed=100 + seed)
         u = np.linalg.cholesky(kin.values) @ rng.normal(size=(n, p))
         y = (u * [1.0, 0.0, 1.0, 0.8] + 0.8 * rng.normal(size=(n, p))).T.ravel()
-        dataset = make_dataset(n, p, seed=6, kinship=kin, y=y)
+        dataset = make_dataset(n, p, seed=seed, kinship=kin, y=y)
         structure = DiagonalVariance(p)
         result = fit(dataset, structure)
         params = np.concatenate([result.kappa_hat, [result.resid_var_hat]])
@@ -454,6 +455,15 @@ class TestFit:
         scaled = np.abs(grad * params)[~pinned]
         assert np.max(scaled) < 1e-3, \
             f"log-scale gradient {np.max(scaled):.2e} off the bound at convergence"
+
+    def test_pinned_variance_leaves_the_rest_stationary(self):
+        self._assert_stationary_off_bound(seed=6)
+
+    def test_near_bound_variance_does_not_end_the_fit(self):
+        # With seed 7, var[2] passes near the bound: the log-scale AI is
+        # nearly singular and clipping its step coordinate by coordinate
+        # left no ascent direction, so every halving failed.
+        self._assert_stationary_off_bound(seed=7)
 
     def test_every_parameter_pinned_converges(self):
         # y equals its environment means, so P y = 0 and every gradient points
