@@ -238,6 +238,14 @@ def _check_simulate(args: argparse.Namespace) -> None:
     _check_structure_matrices(args)
 
 
+def _check_fit_controls(args: argparse.Namespace) -> None:
+    """The --max-iter and --tol checks that fit and cv share."""
+    if args.max_iter < 1:
+        raise UsageError("--max-iter must be >= 1")
+    if args.tol <= 0:
+        raise UsageError("--tol must be positive")
+
+
 def _validate(args: argparse.Namespace) -> None:
     cmd = args.command
     if cmd == "env-process":
@@ -252,10 +260,7 @@ def _validate(args: argparse.Namespace) -> None:
         _require(args, "out")
     elif cmd == "fit":
         _require(args, "phenotypes", "kinship", "structure", "out")
-        if args.max_iter < 1:
-            raise UsageError("--max-iter must be >= 1")
-        if args.tol <= 0:
-            raise UsageError("--tol must be positive")
+        _check_fit_controls(args)
         _check_structure_matrices(args)
     elif cmd == "predict":
         _require(args, "fit", "targets", "out")
@@ -271,10 +276,7 @@ def _validate(args: argparse.Namespace) -> None:
             raise UsageError("--checks must be >= 1")
         if args.envs_per_variety < 1:
             raise UsageError("--envs-per-variety must be >= 1")
-        if args.max_iter < 1:
-            raise UsageError("--max-iter must be >= 1")
-        if args.tol <= 0:
-            raise UsageError("--tol must be positive")
+        _check_fit_controls(args)
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
         for kind in args.models.split(","):

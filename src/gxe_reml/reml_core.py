@@ -19,16 +19,28 @@ log-likelihood is
 V is assembled densely at record dimension N through indexed products
 V_rs = Sigma[e_r, e_s] * K[g_r, g_s] + resid_var * [r == s]; the Kronecker
 product itself is never materialized.  Parameters are updated by
-average-information steps on log-transformed values (enforcing positivity
+Newton-type steps on log-transformed values (enforcing positivity
 smoothly) with step halving until the log-likelihood does not decrease:
 
     score_i = -1/2 * (tr(P Vdot_i) - y^T P Vdot_i P y),
     AI_ij   =  1/2 * y^T P Vdot_i P Vdot_j P y,
+    C_ij    =  1/2 * (tr(P Vddot_ij) - y^T P Vddot_ij P y),
 
-with Vdot_i = Z (dSigma/dkappa_i kron K) Z^T for structure parameters and
-Vdot = I_N for the residual variance.  Both reduce to p x p aggregates of
-P and K over environment pairs, so the per-parameter cost is O(p^2) after
-one O(N^2 p) pass.
+with Vdot_i = Z (dSigma/dkappa_i kron K) Z^T for structure parameters,
+Vdot = I_N for the residual variance, and Vddot_ij the matching second
+derivatives.  All three reduce to p x p aggregates of P and K over
+environment pairs, so the per-parameter cost is O(p^2) after one O(N^2 p)
+pass.  C, the curvature the average information omits (Gilmour, Thompson
+& Cullis 1995; Meyer & Smith 1996), is zero for parameters that enter
+Sigma linearly and is contracted by ``VarianceStructure.curvature``.
+
+The step matrix is (AI + C) o kappa kappa^T over the coordinates that
+move, when one p x p Cholesky shows it positive definite, and the plain
+AI o kappa kappa^T otherwise.  A fit converges when the last accepted
+gain and the Newton decrement g^T M^-1 g (g the log-scale score over the
+moving coordinates, M the step matrix, taken before any clipping) are
+both below ``tol``.  ``FitResult.ai_matrix`` stays the plain AI matrix,
+the source of standard errors.
 
 Cost per iteration: V is factored once per trial point, and the accepted
 trial's factor is reused for the score and AI matrix (potri turns it into
@@ -284,6 +296,7 @@ class _PointEvaluation:
 
     def __init__(self, ws: "_RemlWorkspace", sigma: np.ndarray, resid_var: float):
         self.ws = ws
+        self.sigma = sigma
         self.chol = chol = _factor_covariance(sigma, resid_var, ws.env_idx, ws.k_rec)
         logdet_v = 2.0 * float(np.sum(np.log(np.diag(chol))))
         vi_y = scipy.linalg.cho_solve((chol, True), ws.y, check_finite=False)
@@ -308,14 +321,20 @@ class _PointEvaluation:
         if not np.isfinite(self.loglik):
             raise NumericalError("restricted log-likelihood is not finite")
 
-    def derivatives(self, derivs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Score vector and average-information matrix (structure params
-        in order, residual variance last).
+    def derivatives(
+        self, structure: VarianceStructure, kappa: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Score vector, average-information matrix and curvature correction
+        (structure params in order, residual variance last), with the
+        derivatives of Sigma taken at ``kappa``.
 
-        Consumes the Cholesky factor, which potri overwrites with P's lower
-        triangle, so it runs at most once per point.
+        The correction is 1/2 [tr(P Vddot_ij) - y^T P Vddot_ij P y]; its
+        residual-variance row and column are zero.  Consumes the Cholesky
+        factor, which potri overwrites with P's lower triangle, so it runs
+        at most once per point.
         """
         ws = self.ws
+        derivs = structure.evaluate(kappa).derivs
         # P = V^-1 - V^-1 X A^-1 X^T V^-1 = V^-1 - W^T W, W = L_A^-1 (V^-1 X)^T.
         w_fix = scipy.linalg.solve_triangular(self.chol_a, self.vi_x.T, lower=True)
         p_low = _chol_inverse(self.chol, w_fix)
@@ -323,7 +342,8 @@ class _PointEvaluation:
         py = self.py
         # K is exactly symmetric, so k_rec.T is k_rec in P's (Fortran) layout.
         k_rec, onehot = ws.k_rec.T, ws.env_onehot
-        h = blas.dgemm(1.0, k_rec, onehot * py[:, None])
+        epy = onehot * py[:, None]
+        h = blas.dgemm(1.0, k_rec, epy)
         # N x (k + 1) in Fortran order: Vdot_i P y per structure parameter, then P y.
         w = np.array([(h * d[ws.env_idx]).sum(axis=1) for d in derivs] + [py]).T
         ai = 0.5 * blas.dgemm(1.0, w, blas.dsymm(1.0, p_low, w, lower=1), trans_a=1)
@@ -337,7 +357,12 @@ class _PointEvaluation:
         tr_vec = np.array([np.sum(d * t_agg) for d in derivs] + [tr_p])
         # Column sums, not gemv: each entry is then independent of k.
         grad = -0.5 * (tr_vec - (w * py[:, None]).sum(axis=0))
-        return grad, 0.5 * (ai + ai.T)
+        # y^T P Vddot_ij P y = sum_ab (d2 Sigma)_ab Q_ab, Q = (E o P y)^T h.
+        q = blas.dgemm(1.0, epy, h, trans_a=1)
+        k = len(derivs)
+        corr = np.zeros((k + 1, k + 1))
+        corr[:k, :k] = 0.5 * structure.curvature(kappa, t_agg - 0.5 * (q + q.T))
+        return grad, 0.5 * (ai + ai.T), corr
 
 
 class _RemlWorkspace:
@@ -448,8 +473,9 @@ def score_and_ai(
     if not np.isfinite(resid_var) or resid_var <= 0.0:
         raise InvalidInputError(f"resid_var must be positive, got {resid_var}")
     ws = _RemlWorkspace(dataset, structure)
-    ev = structure.evaluate(kappa)
-    return ws.point(ev.sigma, resid_var).derivatives(ev.derivs)
+    sigma = structure.evaluate(kappa).sigma
+    grad, ai, _ = ws.point(sigma, resid_var).derivatives(structure, kappa)
+    return grad, ai
 
 
 def _ascent_step(ai: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -482,11 +508,15 @@ def fit(
     """Fit the mixed model by average-information REML.
 
     Updates run on log-transformed parameters with step halving until the
-    restricted log-likelihood does not decrease.  Convergence is declared
-    when the log-likelihood gain falls below ``tol`` and the maximum
-    relative parameter change falls below ``10 * tol``.  Exceeding
-    ``max_iter`` returns a result flagged ``converged=False`` rather than
-    raising.
+    restricted log-likelihood does not decrease.  Each step solves with
+    (AI + C) o kappa kappa^T, the average information plus the curvature of
+    the nonlinear parameters, when that matrix is positive definite on the
+    moving coordinates, and with the plain AI o kappa kappa^T otherwise.
+    Convergence is declared when the last accepted log-likelihood gain and
+    the Newton decrement g^T M^-1 g of the unclipped step (M the step matrix)
+    both fall below ``tol``; a step whose every halving fails also ends the
+    fit as converged.  Exceeding ``max_iter`` returns a result flagged
+    ``converged=False`` rather than raising.
 
     Each accepted step costs one Cholesky factorization of the N x N
     covariance V, since the accepted trial point is reused for the
@@ -503,14 +533,15 @@ def fit(
         init: Starting kappa; default ``structure.initial_params(var(y))``.
         resid_init: Starting residual variance; default 0.5 * var(y).
         max_iter: Maximum accepted updates.
-        tol: Convergence tolerance on the log-likelihood gain.
+        tol: Convergence tolerance on the log-likelihood gain and on the
+            Newton decrement.
         fixed: Optional map from kappa index to a frozen value; frozen
             coordinates keep their value exactly and are excluded from
             updates (the reported AI matrix still covers them).
 
     Returns:
         FitResult with estimates, the non-decreasing log-likelihood trace,
-        the AI matrix at the final point, and BLUPs
+        the plain AI matrix (without C) at the final point, and BLUPs
         u_hat = (Sigma_hat kron K) Z^T P y.
     """
     if max_iter < 1:
@@ -553,27 +584,42 @@ def fit(
     eta = np.log(params)
     param_names = structure.param_names() + ["resid_var"]
 
-    ev = structure.evaluate(params[:k])
-    cur = ws.point(ev.sigma, params[k])
-    grad, ai = cur.derivatives(ev.derivs)
+    cur = ws.point(structure.sigma(params[:k]), params[k])
+    grad, ai, corr = cur.derivatives(structure, params[:k])
     trace = [cur.loglik]
     boundary: list[str] = []
     converged = False
     iterations = 0
+    gain = np.inf
 
-    for _ in range(max_iter):
+    while True:
         g_eta = grad * params
-        ai_eta = ai * np.outer(params, params)
         # Halving a step that pushes a pinned coordinate down gains nothing.
         moving = free & ~((eta <= _LOG_LOWER_BOUND) & (g_eta < 0.0))
         step = np.zeros(k + 1)
+        decrement = 0.0
         if moving.any():
-            full = _ascent_step(ai_eta[np.ix_(moving, moving)], g_eta[moving])
+            g_mov = g_eta[moving]
+            block = np.ix_(moving, moving)
+            scale = np.outer(params, params)[block]
+            newton = (ai + corr)[block] * scale
+            # Far from the optimum AI + C can be indefinite; plain AI is not.
+            try:
+                np.linalg.cholesky(newton)
+            except np.linalg.LinAlgError:
+                newton = ai[block] * scale
+            full = _ascent_step(newton, g_mov)
+            decrement = float(g_mov @ full)
             clipped = np.clip(full, -5.0, 5.0)
             # Clipping a near-singular step can leave no ascent; shrink it whole.
-            if float(g_eta[moving] @ clipped) <= 0.0:
+            if float(g_mov @ clipped) <= 0.0:
                 clipped = full * (5.0 / np.max(np.abs(full)))
             step[moving] = clipped
+        if gain < tol and decrement < tol:
+            converged = True
+            break
+        if iterations == max_iter:
+            break
         accepted = None
         for half in range(_MAX_HALVINGS + 1):
             eta_new = eta + step / (2.0**half)
@@ -595,27 +641,16 @@ def fit(
             # No ascent found in any halved step: numerically at an optimum.
             converged = True
             break
-        eta_new, params_new, clamped, trial = accepted
+        eta, params, clamped, cur = accepted
         for name in np.array(param_names)[clamped]:
             if name not in boundary:
                 boundary.append(name)
                 logger.warning("parameter %s clamped at lower boundary", name)
-        rel_change = float(
-            np.max(
-                np.abs(params_new[free] - params[free])
-                / np.maximum(np.abs(params[free]), 1e-12)
-            )
-        )
         # The accepted trial already holds the factor at the new point.
-        params, eta, cur = params_new, eta_new, trial
-        ev = structure.evaluate(params[:k])
-        grad, ai = cur.derivatives(ev.derivs)
+        grad, ai, corr = cur.derivatives(structure, params[:k])
         gain = cur.loglik - trace[-1]
         trace.append(cur.loglik)
         iterations += 1
-        if gain < tol and rel_change < 10.0 * tol:
-            converged = True
-            break
 
     return FitResult(
         structure=structure,
@@ -625,7 +660,7 @@ def fit(
         loglik_trace=np.asarray(trace),
         ai_matrix=ai,
         param_names=param_names,
-        blup_matrix=_cell_blups(dataset, cur.py, ev.sigma),
+        blup_matrix=_cell_blups(dataset, cur.py, cur.sigma),
         genotype_labels=list(dataset.genotype_labels),
         environment_labels=list(dataset.environment_labels),
         converged=converged,

@@ -44,6 +44,20 @@ with C replaced by exp(-theta * D) in the kernel case, and
 
     d Sigma / d theta = -outer(s, s) * D * exp(-theta * D).
 
+The fit also needs second derivatives, contracted with a symmetric p x p
+matrix m: ``curvature(kappa, m)`` returns the k x k matrix
+C_ij = sum_ab (d2 Sigma / dkappa_i dkappa_j)_ab m_ab.  It is zero for
+``main``, ``diag``, ``cor1`` and ``ka``, which are linear in kappa.  With
+K = exp(-theta * D) and B the fixed base (C for ``corP``, K for ``kernP``),
+the nonzero forms are
+
+    kern1:        C_theta,theta = var * sum(D^2 * K * m),
+                  C_theta,var   = -sum(D * K * m),    C_var,var = 0;
+    corP, kernP:  C_var_i,var_j = 0.5 * B_ij m_ij / (s_i s_j)   (i != j),
+                  C_var_i,var_i = -0.5 * sum_{b != i} s_b B_ib m_ib / s_i^3;
+    kernP:        C_theta,theta = sum(outer(s, s) * D^2 * K * m),
+                  C_theta,var_i = -sum_b (s_b / s_i) D_ib K_ib m_ib.
+
 ``sigma(kappa)`` accepts kappa >= 0 (covariance only; zero components are
 legitimate when simulating), while ``evaluate(kappa)`` requires kappa > 0
 strictly because the multi-variance derivatives contain 1/s_i factors.
@@ -185,6 +199,11 @@ class VarianceStructure(abc.ABC):
     @abc.abstractmethod
     def _derivs(self, kappa: np.ndarray) -> list[np.ndarray]: ...
 
+    def curvature(self, kappa: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """k x k matrix sum_ab (d2 Sigma / dkappa_i dkappa_j)_ab m_ab for a
+        symmetric p x p ``m`` at kappa > 0; zero for kinds linear in kappa."""
+        return np.zeros((self.n_params, self.n_params))
+
     @abc.abstractmethod
     def initial_params(self, y_variance: float) -> np.ndarray:
         """Reasonable starting kappa given the phenotypic variance."""
@@ -273,6 +292,15 @@ def _multi_var_derivs(s: np.ndarray, base: np.ndarray) -> list[np.ndarray]:
     return derivs
 
 
+def _multi_var_curvature(s: np.ndarray, base: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Second derivatives of outer(s, s) * base w.r.t. var_i = s_i**2,
+    contracted with m (the variance block of the module docstring)."""
+    bm = base * m
+    c = 0.5 * bm / np.outer(s, s)
+    np.fill_diagonal(c, -0.5 * (bm @ s - bm.diagonal() * s) / s**3)
+    return c
+
+
 class CorrMultiVar(VarianceStructure):
     """Fixed correlation, per-environment variances: Sigma = outer(s,s)*C."""
 
@@ -290,6 +318,9 @@ class CorrMultiVar(VarianceStructure):
 
     def _derivs(self, kappa):
         return _multi_var_derivs(np.sqrt(kappa), self.corr)
+
+    def curvature(self, kappa, m):
+        return _multi_var_curvature(np.sqrt(kappa), self.corr, m)
 
     def initial_params(self, y_variance):
         return np.full(self.p, 0.5 * y_variance)
@@ -314,6 +345,11 @@ class KernelSingleVar(VarianceStructure):
     def _derivs(self, kappa):
         kern = np.exp(-kappa[0] * self.dist)
         return [-kappa[1] * self.dist * kern, kern]
+
+    def curvature(self, kappa, m):
+        dkm = self.dist * np.exp(-kappa[0] * self.dist) * m
+        c_tv = -float(dkm.sum())
+        return np.array([[kappa[1] * float(np.sum(self.dist * dkm)), c_tv], [c_tv, 0.0]])
 
     def initial_params(self, y_variance):
         return np.array([1.0 / mean_offdiag(self.dist), 0.5 * y_variance])
@@ -343,6 +379,17 @@ class KernelMultiVar(VarianceStructure):
         kern = np.exp(-kappa[0] * self.dist)
         d_theta = -np.outer(s, s) * self.dist * kern
         return [d_theta] + _multi_var_derivs(s, kern)
+
+    def curvature(self, kappa, m):
+        s = np.sqrt(kappa[1:])
+        kern = np.exp(-kappa[0] * self.dist)
+        dkm = self.dist * kern * m
+        c = np.empty((self.n_params, self.n_params))
+        c[1:, 1:] = _multi_var_curvature(s, kern, m)
+        c[0, 0] = float(np.sum(np.outer(s, s) * self.dist * dkm))
+        # D has a zero diagonal, so the b = i term of the sum vanishes.
+        c[0, 1:] = c[1:, 0] = -(dkm @ s) / s
+        return c
 
     def initial_params(self, y_variance):
         return np.concatenate(
@@ -452,8 +499,11 @@ def build_structure(
     """Construct a structure by kind tag from the input its class needs.
 
     ``corr`` or ``dist`` when the class needs that matrix; otherwise ``p``
-    or ``env_labels`` (labels win and set p).  Inputs the kind does not
-    need are ignored, as is ``grid`` for kinds without a bandwidth grid.
+    or ``env_labels`` (labels win and set p).  A matrix whose labels are
+    ``env_labels`` in another order is permuted into their order, so
+    matrices read in different orders serve one dataset.  Inputs the kind
+    does not need are ignored, as is ``grid`` for kinds without a bandwidth
+    grid.
     """
     cls = structure_class(kind)
     if cls.needs == "p":
@@ -467,4 +517,7 @@ def build_structure(
     matrix, what = (corr, "correlation") if cls.needs == "corr" else (dist, "distance")
     if matrix is None:
         raise InvalidInputError(f"structure {kind!r} requires a {what} matrix")
+    if env_labels is not None and sorted(matrix.labels) == sorted(env_labels):
+        order = [matrix.labels.index(lab) for lab in env_labels]
+        matrix = type(matrix)(matrix.values[np.ix_(order, order)], list(env_labels))
     return cls(matrix, grid) if cls.takes_grid else cls(matrix)

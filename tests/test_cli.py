@@ -15,7 +15,7 @@ import pytest
 from gxe_reml import io as gio
 from gxe_reml.cli import _build_parser, main
 
-from helpers import gaussian_reference_corr
+from helpers import gaussian_reference_corr, random_distance
 
 
 def read_csv_rows(path):
@@ -427,6 +427,35 @@ class TestCvCommand:
             reports.append(read_csv_rows(out)[1:])
         for row, other in zip(*reports):
             assert row[:3] == other[:3] and row[2] == "0"
+            for col in (3, 4):  # mean_pearson, mean_rmse
+                assert float(row[col]) == pytest.approx(float(other[col]), abs=1e-8)
+
+    def test_distance_order_may_differ_from_correlation_order(self, tmp_path, workspace):
+        # Environments follow --corr; the kern1 structure must take the
+        # reversed --dist file in that order instead of failing the run.
+        labels = workspace["env_labels"]
+        dist = random_distance(3, seed=62, mean_off=4.0)
+        dist_paths = [tmp_path / "dist.csv", tmp_path / "dist_reversed.csv"]
+        gio.write_matrix_csv(dist_paths[0], dist.values, labels, labels)
+        gio.write_matrix_csv(
+            dist_paths[1], dist.values[::-1, ::-1], labels[::-1], labels[::-1]
+        )
+        reports = []
+        for dist_path in dist_paths:
+            out = tmp_path / f"{dist_path.stem}_report.csv"
+            rc = main([
+                "cv", "--phenotypes", str(workspace["sim"] / "phenotypes.csv"),
+                "--kinship", str(workspace["sim"] / "kinship.csv"),
+                "--models", "cor1,kern1", "--corr", str(workspace["corr"]),
+                "--dist", str(dist_path),
+                "--checks", "2", "--envs-per-variety", "1",
+                "--replicates", "2", "--seed", "3", "--out", str(out),
+            ])
+            assert rc == 0, f"cv with {dist_path.name} must succeed"
+            reports.append(read_csv_rows(out)[1:])
+        assert len(reports[0]) == len(reports[1]) == 4
+        for row, other in zip(*reports):
+            assert row[:3] == other[:3] and row[6] == other[6]
             for col in (3, 4):  # mean_pearson, mean_rmse
                 assert float(row[col]) == pytest.approx(float(other[col]), abs=1e-8)
 

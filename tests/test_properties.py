@@ -1,0 +1,166 @@
+"""Likelihood invariances on generated instances, checked against the
+dense Kronecker oracles in ``helpers``.
+
+Each instance is a small kinship-linked trial (4-8 genotypes, 2-4
+environments, some cells missing) with one structure kind and parameter
+point.  Examples are derandomized so every run checks the same instances.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gxe_reml import (
+    CorrSingleVar,
+    Dataset,
+    EnvCorrelationMatrix,
+    KernelSingleVar,
+    PhenotypeRecord,
+    STRUCTURE_KINDS,
+    build_structure,
+    fit,
+    gaussian_kernel,
+    reml_loglik,
+    score_and_ai,
+)
+
+from helpers import (
+    build_design,
+    dense_reml,
+    dense_score_and_ai,
+    gaussian_reference_corr,
+    make_dataset,
+    random_distance,
+)
+
+SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+GRID = np.geomspace(0.05, 2.0, 4)
+
+
+@st.composite
+def instances(draw):
+    """(dataset, corr, dist, seed): every environment keeps >= 2 records."""
+    n = draw(st.integers(4, 8))
+    p = draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 2**20))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, p - 1))
+    drop = draw(st.sets(cells, max_size=n))
+    missing = set()
+    for e in range(p):
+        missing |= set(sorted(c for c in drop if c[1] == e)[: n - 2])
+    dataset = make_dataset(n, p, seed=seed, missing=missing)
+    corr = gaussian_reference_corr(p, seed)
+    dist = random_distance(p, seed + 1, mean_off=4.0)
+    return dataset, corr, dist, seed
+
+
+def structure_for(kind, labels, corr, dist):
+    return build_structure(kind, env_labels=labels, corr=corr, dist=dist, grid=GRID)
+
+
+def draw_kappa(structure, rng):
+    """Well-scaled positive parameters; a bandwidth comes first."""
+    kappa = rng.uniform(0.3, 3.0, structure.n_params)
+    if structure.param_names()[0] == "bandwidth":
+        kappa[0] = rng.uniform(0.05, 0.8)
+    return kappa
+
+
+def assert_close(got, want, tol, what):
+    got, want = np.asarray(got), np.asarray(want)
+    err = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+    assert err < tol, f"{what} off by {err:.2e}"
+
+
+@SETTINGS
+@given(instances(), st.sampled_from(STRUCTURE_KINDS))
+def test_record_permutation(instance, kind):
+    dataset, corr, dist, seed = instance
+    rng = np.random.default_rng(seed)
+    structure = structure_for(kind, dataset.environment_labels, corr, dist)
+    kappa = draw_kappa(structure, rng)
+    resid = float(rng.uniform(0.4, 1.5))
+    order = rng.permutation(dataset.n_records)
+    shuffled = Dataset(
+        [dataset.records[i] for i in order], dataset.kinship, dataset.environment_labels
+    )
+    want = dense_reml(dataset, structure.sigma(kappa), resid)
+    assert_close(reml_loglik(shuffled, structure, kappa, resid), want, 1e-10, "loglik")
+    grad, ai = score_and_ai(shuffled, structure, kappa, resid)
+    ref_grad, ref_ai = dense_score_and_ai(dataset, structure, kappa, resid)
+    assert_close(grad, ref_grad, 1e-9, "score")
+    assert_close(ai, ref_ai, 1e-9, "AI matrix")
+
+
+@SETTINGS
+@given(instances(), st.sampled_from(STRUCTURE_KINDS))
+def test_mean_shift(instance, kind):
+    dataset, corr, dist, seed = instance
+    rng = np.random.default_rng(seed)
+    structure = structure_for(kind, dataset.environment_labels, corr, dist)
+    kappa = draw_kappa(structure, rng)
+    resid = float(rng.uniform(0.4, 1.5))
+    b = rng.normal(scale=10.0, size=dataset.p)
+    values = dataset.values + build_design(dataset).X @ b
+    shifted = Dataset(
+        [PhenotypeRecord(r.genotype, r.environment, float(v))
+         for r, v in zip(dataset.records, values)],
+        dataset.kinship,
+        dataset.environment_labels,
+    )
+    want = dense_reml(dataset, structure.sigma(kappa), resid)
+    assert_close(reml_loglik(shifted, structure, kappa, resid), want, 1e-9, "loglik")
+    grad, _ = score_and_ai(shifted, structure, kappa, resid)
+    ref_grad, _ = dense_score_and_ai(dataset, structure, kappa, resid)
+    assert_close(grad, ref_grad, 1e-8, "score")
+
+
+@SETTINGS
+@given(instances(), st.sampled_from(STRUCTURE_KINDS))
+def test_environment_label_permutation(instance, kind):
+    # The same records under another environment order (so another
+    # reference level); parameters follow their names.
+    dataset, corr, dist, seed = instance
+    rng = np.random.default_rng(seed)
+    labels = list(dataset.environment_labels)
+    permuted = [labels[j] for j in rng.permutation(len(labels))]
+    structure = structure_for(kind, labels, corr, dist)
+    moved = structure_for(kind, permuted, corr, dist)
+    kappa = draw_kappa(structure, rng)
+    resid = float(rng.uniform(0.4, 1.5))
+    names = structure.param_names() + ["resid_var"]
+    moved_names = moved.param_names() + ["resid_var"]
+    index = [names.index(name) for name in moved_names]
+    moved_kappa = kappa[index[:-1]]
+    relabelled = Dataset(dataset.records, dataset.kinship, permuted)
+    want = dense_reml(dataset, structure.sigma(kappa), resid)
+    got = reml_loglik(relabelled, moved, moved_kappa, resid)
+    assert_close(got, want, 1e-10, "loglik")
+    grad, _ = score_and_ai(relabelled, moved, moved_kappa, resid)
+    ref_grad, _ = dense_score_and_ai(dataset, structure, kappa, resid)
+    assert_close(grad, ref_grad[index], 1e-9, "score")
+
+
+@SETTINGS
+@given(instances(), st.floats(0.05, 0.8))
+def test_frozen_bandwidth_kern1_is_cor1(instance, theta):
+    dataset, _, dist, seed = instance
+    rng = np.random.default_rng(seed)
+    kernel = KernelSingleVar(dist)
+    fixed_c = CorrSingleVar(
+        EnvCorrelationMatrix(gaussian_kernel(dist, theta), list(dist.labels))
+    )
+    var = float(rng.uniform(0.3, 3.0))
+    resid = float(rng.uniform(0.4, 1.5))
+    want = dense_reml(dataset, fixed_c.sigma([var]), resid)
+    assert_close(reml_loglik(dataset, kernel, [theta, var], resid), want, 1e-10, "loglik")
+    grad, ai = score_and_ai(dataset, kernel, [theta, var], resid)
+    ref_grad, ref_ai = dense_score_and_ai(dataset, fixed_c, [var], resid)
+    assert_close(grad[1:], ref_grad, 1e-9, "score")
+    assert_close(ai[1:, 1:], ref_ai, 1e-9, "AI matrix")
+    frozen = fit(dataset, kernel, fixed={0: theta})
+    plain = fit(dataset, fixed_c)
+    assert frozen.kappa_hat[0] == theta
+    assert abs(frozen.loglik - plain.loglik) < 1e-6
+    assert_close(frozen.loglik, dense_reml(dataset, fixed_c.sigma(plain.kappa_hat),
+                                           plain.resid_var_hat), 1e-10, "fitted loglik")

@@ -67,6 +67,12 @@ def simulated_dataset(structure, true_params, resid_var, n, seed, env_means=0.0)
     return simulate_met(config).dataset
 
 
+def sparse_dataset():
+    """9 genotypes x 4 environments, unequal record counts per environment."""
+    missing = {(0, 1), (3, 1), (5, 2), (1, 3), (2, 3), (7, 3)}
+    return make_dataset(9, 4, seed=60, missing=missing)
+
+
 class TestBuildDesign:
     def test_complete_two_by_two(self):
         dataset = make_dataset(2, 2, seed=0, kinship=identity_kinship(2))
@@ -214,9 +220,8 @@ class TestScoreAndAi:
 
     def test_matches_dense_oracle(self):
         # Unequal record counts per environment (9, 7, 8, 6), records shuffled.
-        n, p = 9, 4
-        missing = {(0, 1), (3, 1), (5, 2), (1, 3), (2, 3), (7, 3)}
-        base = make_dataset(n, p, seed=60, missing=missing)
+        p = 4
+        base = sparse_dataset()
         order = np.random.default_rng(61).permutation(base.n_records)
         dataset = Dataset(
             [base.records[i] for i in order],
@@ -252,6 +257,67 @@ class TestScoreAndAi:
         scaled = grad * np.concatenate([result.kappa_hat, [result.resid_var_hat]])
         assert np.max(np.abs(scaled)) < 1e-3, \
             "log-scale gradient must vanish at the converged optimum"
+
+
+class TestCurvature:
+    # The correction 1/2 [tr(P Vddot_ij) - y'P Vddot_ij P y] is minus the
+    # slope of the score when only the Sigma derivatives move and P stays.
+
+    def test_score_slope_at_a_fixed_point(self):
+        dataset = sparse_dataset()
+        rng = np.random.default_rng(64)
+        for structure, draw in structure_zoo(4, seed=63):
+            if structure.kind not in ("corP", "kern1", "kernP"):
+                continue
+            kappa = draw(rng)
+            resid = float(rng.uniform(0.4, 1.5))
+            ws = reml_core._RemlWorkspace(dataset, structure)
+            sigma = structure.sigma(kappa)
+            _, _, corr = ws.point(sigma, resid).derivatives(structure, kappa)
+            slope = np.zeros_like(corr)
+            for j in range(len(kappa)):
+                h = 1e-4 * kappa[j]
+                up, down = kappa.copy(), kappa.copy()
+                up[j] += h
+                down[j] -= h
+                g_up = ws.point(sigma, resid).derivatives(structure, up)[0]
+                g_down = ws.point(sigma, resid).derivatives(structure, down)[0]
+                slope[:, j] = (g_up - g_down) / (2.0 * h)
+            err = np.max(np.abs(slope + corr)) / np.max(np.abs(corr))
+            assert err < 1e-6, f"{structure.kind}: correction off by {err:.2e}"
+
+    def test_zero_for_kinds_linear_in_kappa(self):
+        dataset = sparse_dataset()
+        rng = np.random.default_rng(65)
+        m = rng.normal(size=(4, 4))
+        for structure, draw in structure_zoo(4, seed=63):
+            if structure.kind not in ("main", "diag", "cor1", "ka"):
+                continue
+            kappa = draw(rng)
+            ws = reml_core._RemlWorkspace(dataset, structure)
+            _, _, corr = ws.point(structure.sigma(kappa), 0.8).derivatives(structure, kappa)
+            assert np.all(structure.curvature(kappa, m + m.T) == 0.0)
+            assert np.all(corr == 0.0), f"{structure.kind}: nonzero correction"
+
+    def test_fitted_kernp_has_small_newton_decrement(self):
+        dist = random_distance(4, seed=66, mean_off=4.0)
+        structure = build_structure("kernP", dist=dist)
+        dataset = simulated_dataset(
+            structure, [0.25, 0.6, 1.0, 1.4, 0.8], resid_var=0.5, n=40, seed=67
+        )
+        tol = 1e-6
+        result = fit(dataset, structure, tol=tol)
+        assert result.converged and not result.boundary_params
+        ws = reml_core._RemlWorkspace(dataset, structure)
+        point = ws.point(structure.sigma(result.kappa_hat), result.resid_var_hat)
+        grad, ai, corr = point.derivatives(structure, result.kappa_hat)
+        params = np.concatenate([result.kappa_hat, [result.resid_var_hat]])
+        g_eta = grad * params
+        newton = (ai + corr) * np.outer(params, params)
+        if np.min(np.linalg.eigvalsh(newton)) <= 0.0:
+            newton = ai * np.outer(params, params)
+        decrement = float(g_eta @ np.linalg.solve(newton, g_eta))
+        assert 0.0 <= decrement < tol, f"Newton decrement {decrement:.2e} at the fit"
 
 
 class TestFit:
