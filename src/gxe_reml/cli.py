@@ -445,7 +445,7 @@ def _cmd_cv(args: argparse.Namespace) -> None:
         corr=inputs["corr"], dist=inputs["dist"], lambdas=lambdas,
         max_iter=args.max_iter, tol=args.tol, jobs=args.jobs,
     )
-    report.write_csv(args.out)
+    gio.write_cv_report(args.out, report.rows)
     n_failed = sum(1 for r in report.rows if not r.converged)
     logger.info(
         "cv report with %d rows written to %s (%d non-converged)",

@@ -31,6 +31,7 @@ from .env_features import (
     EnvCorrelationMatrix,
     EnvDistanceMatrix,
     blend_correlation,
+    in_label_order,
     random_correlation,
 )
 from .errors import DataError, InvalidInputError, NumericalError
@@ -145,11 +146,6 @@ class CvReport:
                 )
             )
         return out
-
-    def write_csv(self, path) -> None:
-        from .io import write_cv_report
-
-        write_cv_report(path, self.rows)
 
 
 def sparse_split(
@@ -318,7 +314,9 @@ def _run_replicate(args: tuple[_CvTask, int]) -> list[CvRow]:
     rows: list[CvRow] = []
     for model in task.models:
         for lam in task.lambdas if model.label in blended else (0.0,):
-            corr = blend_correlation(task.corr, noise, lam) if lam > 0.0 else task.corr
+            # The noise is in the dataset's environment order.
+            corr = task.corr if lam == 0.0 else blend_correlation(
+                in_label_order(task.corr, data.environment_labels), noise, lam)
             structure = build_structure(
                 model.kind, env_labels=train.environment_labels,
                 corr=corr, dist=task.dist, grid=model.grid,

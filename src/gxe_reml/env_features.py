@@ -320,6 +320,17 @@ def env_distance(features: EnvFeatureMatrix) -> EnvDistanceMatrix:
     return EnvDistanceMatrix(d, list(features.environment_labels))
 
 
+def in_label_order(
+    matrix: EnvCorrelationMatrix | EnvDistanceMatrix, labels: Sequence[str]
+) -> EnvCorrelationMatrix | EnvDistanceMatrix:
+    """``matrix`` permuted into the order of ``labels`` when its labels are a
+    permutation of them; otherwise ``matrix`` itself."""
+    if sorted(matrix.labels) != sorted(labels):
+        return matrix
+    order = [matrix.labels.index(lab) for lab in labels]
+    return type(matrix)(matrix.values[np.ix_(order, order)], list(labels))
+
+
 def blend_correlation(
     corr: EnvCorrelationMatrix,
     noise: EnvCorrelationMatrix,

@@ -20,7 +20,7 @@ V is assembled densely at record dimension N through indexed products
 V_rs = Sigma[e_r, e_s] * K[g_r, g_s] + resid_var * [r == s]; the Kronecker
 product itself is never materialized.  Parameters are updated by
 Newton-type steps on log-transformed values (enforcing positivity
-smoothly) with step halving until the log-likelihood does not decrease:
+smoothly), built from
 
     score_i = -1/2 * (tr(P Vdot_i) - y^T P Vdot_i P y),
     AI_ij   =  1/2 * y^T P Vdot_i P Vdot_j P y,
@@ -34,13 +34,13 @@ pass.  C, the curvature the average information omits (Gilmour, Thompson
 & Cullis 1995; Meyer & Smith 1996), is zero for parameters that enter
 Sigma linearly and is contracted by ``VarianceStructure.curvature``.
 
-The step matrix is (AI + C) o kappa kappa^T over the coordinates that
-move, when one p x p Cholesky shows it positive definite, and the plain
-AI o kappa kappa^T otherwise.  A fit converges when the last accepted
-gain and the Newton decrement g^T M^-1 g (g the log-scale score over the
-moving coordinates, M the step matrix, taken before any clipping) are
-both below ``tol``.  ``FitResult.ai_matrix`` stays the plain AI matrix,
-the source of standard errors.
+The step matrix M, on the log scale and the coordinates that move, is the
+first positive definite one giving a finite step among AI + C, AI and AI
+plus a growing ridge (else the gradient is followed), so every step
+ascends; it is clipped to +-5 and halved until l_R does not decrease.  A
+fit converges when the last accepted gain and the Newton decrement
+g^T M^-1 g (g the log-scale score, before clipping) are both below
+``tol``.  ``FitResult.ai_matrix`` stays the plain AI, for standard errors.
 
 Cost per iteration: V is factored once per trial point, and the accepted
 trial's factor is reused for the score and AI matrix (potri turns it into
@@ -478,22 +478,21 @@ def score_and_ai(
     return grad, ai
 
 
-def _ascent_step(ai: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve ai @ step = grad, ridging until the step is finite ascent."""
-    scale = max(float(np.mean(np.abs(np.diag(ai)))), 1e-300)
-    ridge = 0.0
-    eye = np.eye(ai.shape[0])
-    for _ in range(8):
+def _newton_step(ai: np.ndarray, corr: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve M @ step = grad with the first positive definite M, among AI + C,
+    AI and AI + r I (r = 1e-8 mean|diag AI| growing x100 over 7 tries), whose
+    step is finite: an ascent step.  Failing all, grad scaled to max 1."""
+    ridge = 1e-8 * max(float(np.mean(np.abs(np.diag(ai)))), 1e-300)
+    eye = np.eye(len(grad))
+    for m in [ai + corr, ai] + [ai + ridge * 100.0**i * eye for i in range(7)]:
         try:
-            step = np.linalg.solve(ai + ridge * eye, grad)
+            chol = np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
-            step = None
-        if step is not None and np.all(np.isfinite(step)) and float(grad @ step) > 0.0:
+            continue
+        step = scipy.linalg.cho_solve((chol, True), grad, check_finite=False)
+        if np.all(np.isfinite(step)):
             return step
-        ridge = scale * 1e-8 if ridge == 0.0 else ridge * 100.0
-    # AI unusable at this point; fall back to a bounded gradient step.
-    top = max(float(np.max(np.abs(grad))), 1e-300)
-    return grad / top
+    return grad / max(float(np.max(np.abs(grad))), 1e-300)
 
 
 def fit(
@@ -508,15 +507,14 @@ def fit(
     """Fit the mixed model by average-information REML.
 
     Updates run on log-transformed parameters with step halving until the
-    restricted log-likelihood does not decrease.  Each step solves with
-    (AI + C) o kappa kappa^T, the average information plus the curvature of
-    the nonlinear parameters, when that matrix is positive definite on the
-    moving coordinates, and with the plain AI o kappa kappa^T otherwise.
-    Convergence is declared when the last accepted log-likelihood gain and
-    the Newton decrement g^T M^-1 g of the unclipped step (M the step matrix)
-    both fall below ``tol``; a step whose every halving fails also ends the
-    fit as converged.  Exceeding ``max_iter`` returns a result flagged
-    ``converged=False`` rather than raising.
+    restricted log-likelihood does not decrease.  Each step solves with the
+    first positive definite M on the moving coordinates, among
+    (AI + C) o kappa kappa^T (AI plus the curvature of the nonlinear
+    parameters), AI o kappa kappa^T and that AI ridged, else follows the
+    gradient.  Convergence is declared when the last accepted gain and the
+    Newton decrement g^T M^-1 g of the unclipped step both fall below
+    ``tol``; a step whose every halving fails also ends the fit as
+    converged.  Exceeding ``max_iter`` returns ``converged=False``.
 
     Each accepted step costs one Cholesky factorization of the N x N
     covariance V, since the accepted trial point is reused for the
@@ -602,13 +600,7 @@ def fit(
             g_mov = g_eta[moving]
             block = np.ix_(moving, moving)
             scale = np.outer(params, params)[block]
-            newton = (ai + corr)[block] * scale
-            # Far from the optimum AI + C can be indefinite; plain AI is not.
-            try:
-                np.linalg.cholesky(newton)
-            except np.linalg.LinAlgError:
-                newton = ai[block] * scale
-            full = _ascent_step(newton, g_mov)
+            full = _newton_step(ai[block] * scale, corr[block] * scale, g_mov)
             decrement = float(g_mov @ full)
             clipped = np.clip(full, -5.0, 5.0)
             # Clipping a near-singular step can leave no ascent; shrink it whole.
@@ -627,7 +619,6 @@ def fit(
             eta_new[clamped] = _LOG_LOWER_BOUND
             params_new = np.exp(eta_new)
             params_new[~free] = params[~free]
-            eta_new[~free] = eta[~free]
             if not np.all(np.isfinite(params_new)):
                 continue
             try:

@@ -72,7 +72,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .env_features import EnvCorrelationMatrix, EnvDistanceMatrix
+from .env_features import EnvCorrelationMatrix, EnvDistanceMatrix, in_label_order
 from .errors import InvalidInputError
 
 logger = logging.getLogger(__name__)
@@ -517,7 +517,6 @@ def build_structure(
     matrix, what = (corr, "correlation") if cls.needs == "corr" else (dist, "distance")
     if matrix is None:
         raise InvalidInputError(f"structure {kind!r} requires a {what} matrix")
-    if env_labels is not None and sorted(matrix.labels) == sorted(env_labels):
-        order = [matrix.labels.index(lab) for lab in env_labels]
-        matrix = type(matrix)(matrix.values[np.ix_(order, order)], list(env_labels))
+    if env_labels is not None:
+        matrix = in_label_order(matrix, env_labels)
     return cls(matrix, grid) if cls.takes_grid else cls(matrix)

@@ -10,6 +10,7 @@ from gxe_reml import cv, reml_core
 from gxe_reml import (
     CorrSingleVar,
     CvModel,
+    EnvCorrelationMatrix,
     InvalidInputError,
     SimConfig,
     SparseDesign,
@@ -203,6 +204,14 @@ class TestWithinEnvAccuracy:
             within_env_accuracy({}, {})
 
 
+def strip(report):
+    """Every row field but the timing."""
+    return [
+        (r.model, r.replicate, r.lam, r.mean_pearson, r.mean_rmse, r.converged)
+        for r in report.rows
+    ]
+
+
 class TestRunCv:
     def test_row_layout_and_summary(self):
         report = run_cv(
@@ -227,12 +236,6 @@ class TestRunCv:
                 assert np.isfinite(s.mean_rmse) and np.isfinite(s.median_rmse)
 
     def test_deterministic_across_runs_and_jobs(self):
-        def strip(report):
-            return [
-                (r.model, r.replicate, r.lam, r.mean_pearson, r.mean_rmse, r.converged)
-                for r in report.rows
-            ]
-
         kwargs = dict(
             models=["cor1"],
             design=design(2, 1, replicates=3, seed=32),
@@ -244,6 +247,21 @@ class TestRunCv:
         c = run_cv(**kwargs, jobs=2)
         assert strip(a) == strip(b), "repeated runs must agree exactly"
         assert strip(a) == strip(c), "worker count must not change results"
+
+    def test_correlation_labels_may_come_in_another_order(self):
+        # The blend noise is drawn in the dataset's environment order; a
+        # correlation matrix read in another order must be reordered first.
+        corr = gaussian_reference_corr(3, seed=144)
+        reversed_corr = EnvCorrelationMatrix(corr.values[::-1, ::-1], corr.labels[::-1])
+        kwargs = dict(
+            models=["cor1"],
+            design=design(2, 1, replicates=2, seed=45),
+            sim_config=tiny_sim_config(seed=44),
+            lambdas=[0.0, 0.75],
+        )
+        in_order = run_cv(**kwargs, corr=corr)
+        assert strip(run_cv(**kwargs, corr=reversed_corr)) == strip(in_order)
+        assert len(in_order.rows) == 4
 
     def test_covariance_factored_only_inside_fit(self, monkeypatch):
         inside_fit = []

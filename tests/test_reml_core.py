@@ -320,6 +320,37 @@ class TestCurvature:
         assert 0.0 <= decrement < tol, f"Newton decrement {decrement:.2e} at the fit"
 
 
+class TestNewtonStep:
+    """The step matrix ladder: AI + C, AI, ridged AI, then the gradient."""
+
+    ai = np.array([[2.0, 0.5], [0.5, 1.0]])
+    grad = np.array([1.0, -3.0])
+
+    def test_positive_definite_ai_plus_c_is_used(self):
+        corr = np.array([[0.5, 0.1], [0.1, 0.2]])
+        step = reml_core._newton_step(self.ai, corr, self.grad)
+        np.testing.assert_allclose(step, np.linalg.solve(self.ai + corr, self.grad))
+
+    def test_indefinite_ai_plus_c_yields_the_ai_step(self):
+        corr = np.array([[-3.0, 0.0], [0.0, 0.0]])
+        step = reml_core._newton_step(self.ai, corr, self.grad)
+        np.testing.assert_allclose(step, np.linalg.solve(self.ai, self.grad))
+
+    def test_singular_ai_yields_a_finite_ascent_step(self):
+        ai = np.array([[1.0, 2.0], [2.0, 4.0]])
+        step = reml_core._newton_step(ai, np.zeros((2, 2)), self.grad)
+        assert np.all(np.isfinite(step))
+        assert self.grad @ step > 0.0
+        # The first ridge, 1e-8 times the mean diagonal, suffices.
+        ridged = ai + 1e-8 * 2.5 * np.eye(2)
+        np.testing.assert_allclose(step, np.linalg.solve(ridged, self.grad), rtol=1e-6)
+
+    def test_non_finite_ai_yields_the_scaled_gradient(self):
+        ai = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        step = reml_core._newton_step(ai, np.zeros((2, 2)), self.grad)
+        np.testing.assert_array_equal(step, self.grad / 3.0)
+
+
 class TestFit:
     def test_recovers_strong_signal(self):
         dist = random_distance(4, seed=21, mean_off=5.0)
@@ -408,7 +439,7 @@ class TestFit:
         # failed halvings, not errors that abort the fit.
         dataset = make_dataset(4, 2, seed=55)
         monkeypatch.setattr(
-            reml_core, "_ascent_step", lambda ai, grad: np.full_like(grad, 5.0)
+            reml_core, "_newton_step", lambda ai, corr, grad: np.full_like(grad, 5.0)
         )
         result = fit(
             dataset, MainEffect(2), init=np.array([1e307]), resid_init=1e307, max_iter=3
