@@ -11,52 +11,41 @@ is built from, ``needs``: ``"p"`` (environment count or labels), ``"corr"``
 or ``"dist"`` (the matrix its constructor takes).  Listed in
 ``_STRUCTURES``, it reaches :func:`build_structure`, the CLI and CV.
 
-Available parameterizations (kind tags in parentheses):
+Every kind but ``ka`` has the form Sigma = S(var) * B(theta), taken
+entrywise, over two axes:
 
-* ``main`` -- one shared variance, Sigma = var * J (all-ones J); genotype
-  effects are perfectly correlated across environments.
-* ``diag`` -- independent environments, Sigma = diag(var_1..var_p).
-* ``cor1`` -- fixed correlation matrix C scaled by one variance,
-  Sigma = var * C.
-* ``corP`` -- fixed C with per-environment variances,
-  Sigma = outer(s, s) * C where s_i = sqrt(var_i).
-* ``kern1`` -- Gaussian kernel with estimated bandwidth,
-  Sigma = var * exp(-theta * D) taken entrywise over squared distances D.
-* ``kernP`` -- Gaussian kernel with bandwidth plus per-environment
-  variances, Sigma = outer(s, s) * exp(-theta * D).
-* ``ka`` -- kernel averaging over a fixed bandwidth grid,
-  Sigma = sum_m var_m * exp(-theta_m * D); the weights are variances of
-  independent summed effects, so the implied total variance is
-  sum_m var_m and the implied correlation is their convex combination of
-  kernels.
+* the scale S is var * J (all-ones J) for one variance (``main``, ``cor1``,
+  ``kern1``), or outer(s, s) with s_i = sqrt(var_i) and diagonal var_i for
+  one variance per environment (``diag``, ``corP``, ``kernP``);
+* the base B is J (``main``), the identity I (``diag``), a fixed
+  correlation matrix C (``cor1``, ``corP``), or the Gaussian kernel
+  K = exp(-theta * D) over squared distances D, whose bandwidth theta comes
+  first in kappa (``kern1``, ``kernP``).
 
-Bandwidth limits connect the families: exp(-theta * D) tends entrywise to
-the all-ones matrix as theta -> 0+ (recovering ``main``) and to the identity
-as theta -> infinity (recovering ``diag``).
+``ka`` averages kernels over a fixed bandwidth grid,
+Sigma = sum_m var_m * exp(-theta_m * D); the weights are variances of
+independent summed effects, so the implied total variance is sum_m var_m
+and the implied correlation is their convex combination of kernels.
+Bandwidth limits connect the families: K tends entrywise to J as
+theta -> 0+ (recovering ``main``) and to I as theta -> infinity
+(recovering ``diag``).
 
-Derivatives follow from the parameterizations directly.  For the
-multi-variance forms, with s_i = sqrt(var_i) and entrywise products,
+A new kind of the S * B form is one subclass of ``_ScaledBase``, which
+differentiates by the product rule,
 
-    d Sigma / d var_i  has (i, i) entry C_ii, and (i, j) = (j, i) entry
-    0.5 * s_j / s_i * C_ij for j != i,
+    d Sigma / d var_i = dS/dvar_i * B,    d Sigma / d theta = S * dB/dtheta,
 
-with C replaced by exp(-theta * D) in the kernel case, and
-
-    d Sigma / d theta = -outer(s, s) * D * exp(-theta * D).
+with dB/dtheta = -D * K and dS/dvar = J for one variance; per environment,
+dS/dvar_i has (i, i) entry 1 and (i, j) = (j, i) entry 0.5 * s_j / s_i.
 
 The fit also needs second derivatives, contracted with a symmetric p x p
 matrix m: ``curvature(kappa, m)`` returns the k x k matrix
-C_ij = sum_ab (d2 Sigma / dkappa_i dkappa_j)_ab m_ab.  It is zero for
-``main``, ``diag``, ``cor1`` and ``ka``, which are linear in kappa.  With
-K = exp(-theta * D) and B the fixed base (C for ``corP``, K for ``kernP``),
-the nonzero forms are
-
-    kern1:        C_theta,theta = var * sum(D^2 * K * m),
-                  C_theta,var   = -sum(D * K * m),    C_var,var = 0;
-    corP, kernP:  C_var_i,var_j = 0.5 * B_ij m_ij / (s_i s_j)   (i != j),
-                  C_var_i,var_i = -0.5 * sum_{b != i} s_b B_ib m_ib / s_i^3;
-    kernP:        C_theta,theta = sum(outer(s, s) * D^2 * K * m),
-                  C_theta,var_i = -sum_b (s_b / s_i) D_ib K_ib m_ib.
+C_ij = sum_ab (d2 Sigma / dkappa_i dkappa_j)_ab m_ab.  By the product rule
+d2 Sigma = d2S * B + dS * dB + dB * dS + S * d2B, with d2B/dtheta2 =
+D^2 * K.  d2S vanishes for var * J; per environment its (i, j) and (j, i)
+entries are 0.25 / (s_i s_j) for var_i, var_j (i != j), and its (i, b) and
+(b, i) entries are -0.25 * s_b / s_i^3 for var_i twice (b != i).  C is
+zero for ``main``, ``diag``, ``cor1`` and ``ka``, which are linear in kappa.
 
 ``sigma(kappa)`` accepts kappa >= 0 (covariance only; zero components are
 legitimate when simulating), while ``evaluate(kappa)`` requires kappa > 0
@@ -100,11 +89,14 @@ def mean_offdiag(dist: EnvDistanceMatrix | np.ndarray) -> float:
     """Mean off-diagonal squared distance, the natural bandwidth scale."""
     values = dist.values if isinstance(dist, EnvDistanceMatrix) else np.asarray(dist, dtype=float)
     p = values.shape[0]
-    total = float(values.sum())
-    n_off = p * (p - 1)
-    if n_off == 0:
+    if p < 2:
         raise InvalidInputError("at least two environments are required")
-    return total / n_off
+    mean = float(values.sum()) / (p * (p - 1))
+    if mean <= 0.0:
+        raise InvalidInputError(
+            "distance matrix has no positive off-diagonal entry, so it sets no "
+            "bandwidth scale")
+    return mean
 
 
 def correlation_from_covariance(
@@ -209,192 +201,155 @@ class VarianceStructure(abc.ABC):
         """Reasonable starting kappa given the phenotypic variance."""
 
 
-class MainEffect(VarianceStructure):
+class _ScaledBase(VarianceStructure):
+    """Sigma = S(var) * B(theta) entrywise, differentiated by the product rule.
+
+    S is ``var * J`` or, with ``per_env``, outer(s, s) with diagonal var;
+    B is the fixed matrix ``base`` or, given ``dist``, exp(-theta * D) with
+    theta leading the parameter layout.
+    """
+
+    per_env: ClassVar[bool]
+
+    def __init__(self, p: int, env_labels: Sequence[str] | None,
+                 base: np.ndarray | None = None, dist: np.ndarray | None = None):
+        env_labels = list(env_labels) if env_labels else None
+        names = ["var"]
+        if self.per_env:
+            names = [f"var[{lab}]" for lab in env_labels or range(p)]
+        if dist is not None:
+            names = ["bandwidth"] + names
+        super().__init__(p, names, env_labels)
+        self.base = base
+        self.dist = dist
+
+    def _split(self, kappa):
+        """(B, var) at kappa."""
+        if self.dist is None:
+            return self.base, kappa
+        return gaussian_kernel(self.dist, kappa[0]), kappa[1:]
+
+    def _scale(self, var):
+        if not self.per_env:
+            return np.full((self.p, self.p), var[0])
+        s = np.sqrt(var)
+        scale = np.outer(s, s)
+        np.fill_diagonal(scale, var)
+        return scale
+
+    def _scale_derivs(self, var):
+        """dS / dvar_i for each variance."""
+        if not self.per_env:
+            return [np.ones((self.p, self.p))]
+        s = np.sqrt(var)
+        derivs = []
+        for i in range(self.p):
+            ds = np.zeros((self.p, self.p))
+            ds[i] = ds[:, i] = 0.5 * s / s[i]
+            ds[i, i] = 1.0
+            derivs.append(ds)
+        return derivs
+
+    def _sigma(self, kappa):
+        base, var = self._split(kappa)
+        return self._scale(var) * base
+
+    def _derivs(self, kappa):
+        base, var = self._split(kappa)
+        derivs = [ds * base for ds in self._scale_derivs(var)]
+        if self.dist is None:
+            return derivs
+        return [-self._scale(var) * self.dist * base] + derivs  # S * dB/dtheta
+
+    def curvature(self, kappa, m):
+        base, var = self._split(kappa)
+        s = np.sqrt(var)
+        c = np.zeros((self.n_params, self.n_params))
+        if self.per_env:  # d2S * B; d2S vanishes for var * J
+            bm = base * m
+            vv = 0.5 * bm / np.outer(s, s)
+            np.fill_diagonal(vv, -0.5 * (bm @ s - bm.diagonal() * s) / s**3)
+            c[-self.p:, -self.p:] = vv
+        if self.dist is not None:
+            dkm = self.dist * base * m  # -dB/dtheta * m
+            c[0, 0] = np.sum(self._scale(var) * self.dist * dkm)  # S * d2B/dtheta2
+            # dS * dB/dtheta, where D's zero diagonal drops dS's diagonal
+            c[0, 1:] = c[1:, 0] = -(dkm @ s) / s if self.per_env else -dkm.sum()
+        return c
+
+    def initial_params(self, y_variance):
+        start = np.full(self.p if self.per_env else 1, 0.5 * y_variance)
+        if self.dist is None:
+            return start
+        return np.concatenate([[1.0 / mean_offdiag(self.dist)], start])
+
+
+class MainEffect(_ScaledBase):
     """Single genotype main effect: Sigma = var * J."""
 
     kind = "main"
     needs = "p"
+    per_env = False
 
     def __init__(self, p: int, env_labels: Sequence[str] | None = None):
-        super().__init__(p, ["var"], list(env_labels) if env_labels else None)
-
-    def _sigma(self, kappa):
-        return np.full((self.p, self.p), kappa[0])
-
-    def _derivs(self, kappa):
-        return [np.ones((self.p, self.p))]
-
-    def initial_params(self, y_variance):
-        return np.array([0.5 * y_variance])
+        super().__init__(p, env_labels)
+        self.base = np.ones((p, p))
 
 
-class DiagonalVariance(VarianceStructure):
+class DiagonalVariance(_ScaledBase):
     """Independent environments: Sigma = diag(var_1..var_p)."""
 
     kind = "diag"
     needs = "p"
+    per_env = True
 
     def __init__(self, p: int, env_labels: Sequence[str] | None = None):
-        labels = list(env_labels) if env_labels else [str(j) for j in range(p)]
-        super().__init__(p, [f"var[{lab}]" for lab in labels],
-                         list(env_labels) if env_labels else None)
-
-    def _sigma(self, kappa):
-        return np.diag(kappa)
-
-    def _derivs(self, kappa):
-        derivs = []
-        for i in range(self.p):
-            m = np.zeros((self.p, self.p))
-            m[i, i] = 1.0
-            derivs.append(m)
-        return derivs
-
-    def initial_params(self, y_variance):
-        return np.full(self.p, 0.5 * y_variance)
+        super().__init__(p, env_labels)
+        self.base = np.eye(p)
 
 
-class CorrSingleVar(VarianceStructure):
+class CorrSingleVar(_ScaledBase):
     """Fixed correlation, one variance: Sigma = var * C."""
 
     kind = "cor1"
     needs = "corr"
+    per_env = False
 
     def __init__(self, corr: EnvCorrelationMatrix):
-        super().__init__(corr.p, ["var"], list(corr.labels))
-        self.corr = _validated_correlation(corr)
-
-    def _sigma(self, kappa):
-        return kappa[0] * self.corr
-
-    def _derivs(self, kappa):
-        return [self.corr.copy()]
-
-    def initial_params(self, y_variance):
-        return np.array([0.5 * y_variance])
+        super().__init__(corr.p, corr.labels, base=_validated_correlation(corr))
 
 
-def _multi_var_derivs(s: np.ndarray, base: np.ndarray) -> list[np.ndarray]:
-    """Derivatives of outer(s, s) * base w.r.t. each var_i = s_i**2.
-
-    Off-diagonal (i, j) entries are 0.5 * s_j / s_i * base_ij; the (i, i)
-    entry is base_ii.
-    """
-    p = s.shape[0]
-    derivs = []
-    for i in range(p):
-        m = np.zeros((p, p))
-        row = 0.5 * (s / s[i]) * base[i]
-        m[i, :] = row
-        m[:, i] = row
-        m[i, i] = base[i, i]
-        derivs.append(m)
-    return derivs
-
-
-def _multi_var_curvature(s: np.ndarray, base: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Second derivatives of outer(s, s) * base w.r.t. var_i = s_i**2,
-    contracted with m (the variance block of the module docstring)."""
-    bm = base * m
-    c = 0.5 * bm / np.outer(s, s)
-    np.fill_diagonal(c, -0.5 * (bm @ s - bm.diagonal() * s) / s**3)
-    return c
-
-
-class CorrMultiVar(VarianceStructure):
+class CorrMultiVar(_ScaledBase):
     """Fixed correlation, per-environment variances: Sigma = outer(s,s)*C."""
 
     kind = "corP"
     needs = "corr"
+    per_env = True
 
     def __init__(self, corr: EnvCorrelationMatrix):
-        super().__init__(corr.p, [f"var[{lab}]" for lab in corr.labels],
-                         list(corr.labels))
-        self.corr = _validated_correlation(corr)
-
-    def _sigma(self, kappa):
-        s = np.sqrt(kappa)
-        return np.outer(s, s) * self.corr
-
-    def _derivs(self, kappa):
-        return _multi_var_derivs(np.sqrt(kappa), self.corr)
-
-    def curvature(self, kappa, m):
-        return _multi_var_curvature(np.sqrt(kappa), self.corr, m)
-
-    def initial_params(self, y_variance):
-        return np.full(self.p, 0.5 * y_variance)
+        super().__init__(corr.p, corr.labels, base=_validated_correlation(corr))
 
 
-class KernelSingleVar(VarianceStructure):
-    """Gaussian kernel, one variance: Sigma = var * exp(-theta * D).
-
-    Parameter layout: [theta, var].
-    """
+class KernelSingleVar(_ScaledBase):
+    """Gaussian kernel, one variance: Sigma = var * exp(-theta * D)."""
 
     kind = "kern1"
     needs = "dist"
+    per_env = False
 
     def __init__(self, dist: EnvDistanceMatrix):
-        super().__init__(dist.p, ["bandwidth", "var"], list(dist.labels))
-        self.dist = dist.values.copy()
-
-    def _sigma(self, kappa):
-        return kappa[1] * np.exp(-kappa[0] * self.dist)
-
-    def _derivs(self, kappa):
-        kern = np.exp(-kappa[0] * self.dist)
-        return [-kappa[1] * self.dist * kern, kern]
-
-    def curvature(self, kappa, m):
-        dkm = self.dist * np.exp(-kappa[0] * self.dist) * m
-        c_tv = -float(dkm.sum())
-        return np.array([[kappa[1] * float(np.sum(self.dist * dkm)), c_tv], [c_tv, 0.0]])
-
-    def initial_params(self, y_variance):
-        return np.array([1.0 / mean_offdiag(self.dist), 0.5 * y_variance])
+        super().__init__(dist.p, dist.labels, dist=dist.values.copy())
 
 
-class KernelMultiVar(VarianceStructure):
-    """Gaussian kernel with per-environment variances.
-
-    Parameter layout: [theta, var_1..var_p];
-    Sigma = outer(s, s) * exp(-theta * D) with s_i = sqrt(var_i).
-    """
+class KernelMultiVar(_ScaledBase):
+    """Gaussian kernel, per-environment variances: Sigma = outer(s,s)*K."""
 
     kind = "kernP"
     needs = "dist"
+    per_env = True
 
     def __init__(self, dist: EnvDistanceMatrix):
-        super().__init__(dist.p, ["bandwidth"] + [f"var[{lab}]" for lab in dist.labels],
-                         list(dist.labels))
-        self.dist = dist.values.copy()
-
-    def _sigma(self, kappa):
-        s = np.sqrt(kappa[1:])
-        return np.outer(s, s) * np.exp(-kappa[0] * self.dist)
-
-    def _derivs(self, kappa):
-        s = np.sqrt(kappa[1:])
-        kern = np.exp(-kappa[0] * self.dist)
-        d_theta = -np.outer(s, s) * self.dist * kern
-        return [d_theta] + _multi_var_derivs(s, kern)
-
-    def curvature(self, kappa, m):
-        s = np.sqrt(kappa[1:])
-        kern = np.exp(-kappa[0] * self.dist)
-        dkm = self.dist * kern * m
-        c = np.empty((self.n_params, self.n_params))
-        c[1:, 1:] = _multi_var_curvature(s, kern, m)
-        c[0, 0] = float(np.sum(np.outer(s, s) * self.dist * dkm))
-        # D has a zero diagonal, so the b = i term of the sum vanishes.
-        c[0, 1:] = c[1:, 0] = -(dkm @ s) / s
-        return c
-
-    def initial_params(self, y_variance):
-        return np.concatenate(
-            [[1.0 / mean_offdiag(self.dist)], np.full(self.p, 0.5 * y_variance)]
-        )
+        super().__init__(dist.p, dist.labels, dist=dist.values.copy())
 
 
 class KernelAveraging(VarianceStructure):
@@ -423,7 +378,8 @@ class KernelAveraging(VarianceStructure):
             raise InvalidInputError("grid bandwidths must increase strictly")
         super().__init__(dist.p, [f"weight[{t:g}]" for t in grid], list(dist.labels))
         self.grid = grid
-        self.kernels = [np.exp(-t * dist.values) for t in grid]
+        self.dist = dist.values.copy()
+        self.kernels = [gaussian_kernel(self.dist, t) for t in grid]
 
     def _combine(self, kappa: np.ndarray) -> tuple[float, np.ndarray]:
         """Implied (total variance, averaged correlation) at kappa."""

@@ -302,6 +302,21 @@ class TestFitCommand:
         assert rc == 2
         assert "positive semidefinite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["kern1", "kernP", "ka"])
+    def test_all_zero_distances(self, tmp_path, workspace, capsys, kind):
+        # No positive distance means no bandwidth scale to start from.
+        dist_path = tmp_path / "zero_dist.csv"
+        labels = workspace["env_labels"]
+        gio.write_matrix_csv(dist_path, np.zeros((3, 3)), labels, labels)
+        rc = main([
+            "fit", "--phenotypes", str(workspace["sim"] / "phenotypes.csv"),
+            "--kinship", str(workspace["sim"] / "kinship.csv"),
+            "--structure", kind, "--dist", str(dist_path),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert "no positive off-diagonal" in capsys.readouterr().err
+
     def test_label_mismatch(self, tmp_path, workspace, capsys):
         corr = gaussian_reference_corr(3, seed=61)
         corr_path = tmp_path / "renamed.csv"

@@ -1,5 +1,6 @@
 """Tests for sparse-testing splits, accuracy scoring, and the CV driver."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -12,6 +13,7 @@ from gxe_reml import (
     CvModel,
     EnvCorrelationMatrix,
     InvalidInputError,
+    KernelAveraging,
     SimConfig,
     SparseDesign,
     run_cv,
@@ -19,7 +21,7 @@ from gxe_reml import (
     within_env_accuracy,
 )
 
-from helpers import gaussian_reference_corr, make_dataset, random_kinship
+from helpers import gaussian_reference_corr, make_dataset, random_distance, random_kinship
 
 
 def design(n_checks=5, envs_per_variety=2, replicates=1, seed=0):
@@ -338,6 +340,18 @@ class TestRunCv:
             sim_config=tiny_sim_config(seed=41),
         )
         assert report.rows[0].converged
+
+    def test_kernel_averaging_truth_supplies_distances(self):
+        # Like kern1 and kernP, a ka truth lends its distances to the kernel
+        # models when no dist is given.
+        config = dataclasses.replace(
+            tiny_sim_config(seed=48),
+            structure=KernelAveraging(random_distance(3, seed=47), grid=[0.2, 2.0]),
+            true_params=np.array([0.6, 0.4]),
+        )
+        report = run_cv(["kern1", "ka"], design(2, 1, replicates=1, seed=49),
+                        sim_config=config)
+        assert [r.model for r in report.rows] == ["kern1", "ka"]
 
     def test_kernel_model_needs_distances(self):
         with pytest.raises(InvalidInputError, match="dist"):

@@ -133,6 +133,33 @@ class TestFiniteDifferenceOracle:
                         f"{structure.param_names()[i]}: FD mismatch {err:.2e}"
                     )
 
+    def test_curvature_matches_derivative_differences(self):
+        # Central differences of dSigma/dkappa_j contracted with m give
+        # column j of the curvature.
+        rng = np.random.default_rng(24)
+        for structure, draw in structure_zoo(p=4, seed=25):
+            for _ in range(10):
+                kappa = draw(rng)
+                m = rng.normal(size=(4, 4))
+                m = m + m.T
+                analytic = structure.curvature(kappa, m)
+                assert np.array_equal(analytic, analytic.T), \
+                    f"{structure.kind}: asymmetric curvature"
+                if structure.kind in ("main", "diag", "cor1", "ka"):
+                    assert not np.any(analytic), \
+                        f"{structure.kind} is linear in kappa; curvature must be 0"
+                numeric = np.empty_like(analytic)
+                for j in range(structure.n_params):
+                    h = 1e-6 * max(1.0, abs(kappa[j]))
+                    up = kappa.copy()
+                    dn = kappa.copy()
+                    up[j] += h
+                    dn[j] -= h
+                    pairs = zip(structure.evaluate(up).derivs, structure.evaluate(dn).derivs)
+                    numeric[:, j] = [np.sum((a - b) * m) / (2.0 * h) for a, b in pairs]
+                err = np.max(np.abs(analytic - numeric)) / max(1.0, np.max(np.abs(analytic)))
+                assert err < 1e-6, f"{structure.kind}: curvature FD mismatch {err:.2e}"
+
 
 class TestStructureInvariants:
     def test_sigma_symmetric_psd(self):
