@@ -462,22 +462,6 @@ _HANDLERS = {
 }
 
 
-def dispatch(args: argparse.Namespace) -> int:
-    """Run the selected subcommand, mapping errors to exit codes."""
-    try:
-        _HANDLERS[args.command](args)
-    except UsageError as exc:  # a malformed number list, found while running
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, InvalidInputError) as exc:
-        print(f"gxe-reml: error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"gxe-reml: numerical failure: {exc}", file=sys.stderr)
-        return 3
-    return 0
-
-
 _LOG_LEVELS = {
     "error": logging.ERROR,
     "warn": logging.WARNING,
@@ -506,13 +490,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     _setup_logging()
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
-    except UsageError as exc:
+        _HANDLERS[args.command](args)
+    except UsageError as exc:  # also a malformed number list, found while running
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, InvalidInputError) as exc:
         print(f"gxe-reml: error: {exc}", file=sys.stderr)
         return 2
-    return dispatch(args)
+    except NumericalError as exc:
+        print(f"gxe-reml: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -399,11 +399,7 @@ def run_cv(
         if not np.isfinite(lam) or lam < 0.0 or lam > 1.0:
             raise InvalidInputError(f"lambda must lie in [0, 1], got {lam}")
     if sim_config is not None:
-        env_labels = (
-            list(sim_config.structure.env_labels)
-            if sim_config.structure.env_labels is not None
-            else [f"E{j + 1:02d}" for j in range(sim_config.p_environments)]
-        )
+        env_labels = sim_config.environment_labels
         if corr is None and "corr" in needs:
             sigma = sim_config.structure.sigma(sim_config.true_params)
             corr = correlation_from_covariance(sigma, env_labels)

@@ -1,16 +1,21 @@
 """CSV input/output for matrices, phenotypes, weather, and fit results.
 
-All numeric output uses 17 significant digits so cross-run diffs are
-meaningful.  Labeled square matrices share one format: the first row holds
-column labels (with an empty corner cell), each following row starts with
-its label.  Matrices read from disk may be asymmetric up to 1e-8 and are
-symmetrized; anything worse is a data error.  Every parse error names the
-file, row, and column.
+Every file is one table format: a header row, then one or more rows with
+exactly the header's cell count.  Readers check the header (the whole row,
+or its leading columns for weather and targets, which allow more), each
+row's cell count and a non-empty body; cells are stripped of surrounding
+whitespace.  Labeled square matrices are such a table whose header holds
+the column labels after an empty corner cell and whose rows each start
+with their label.  Matrices read from disk may be asymmetric up to 1e-8 and
+are symmetrized; anything worse is a data error.  All numeric output uses
+17 significant digits so cross-run diffs are meaningful.  Every parse
+error names the file, and the row and column where there is one.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -28,12 +33,37 @@ def _fmt(x: float) -> str:
     return FLOAT_FORMAT % x
 
 
-def _open_rows(path) -> list[list[str]]:
+def _read_table(path, header: Sequence[str],
+                prefix: bool = False) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The stripped header and ``(row number, cells)`` body rows of a table.
+
+    The header must equal ``header``, or start with it when ``prefix``.
+    """
     try:
         with open(path, newline="") as handle:
-            return [row for row in csv.reader(handle)]
+            rows = [[cell.strip() for cell in row] for row in csv.reader(handle)]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    got = rows[0] if rows else []
+    if (got[: len(header)] if prefix else got) != list(header):
+        raise DataError(
+            f"{path}: expected header{' starting' if prefix else ''} "
+            f"'{','.join(header)}', got '{','.join(got)}'"
+        )
+    body = list(enumerate(rows[1:], start=2))
+    for i, row in body:
+        if len(row) != len(got):
+            raise DataError(f"{path}: row {i} has {len(row)} cells, expected {len(got)}")
+    if not body:
+        raise DataError(f"{path}: no rows after the header")
+    return got, body
+
+
+def _write_table(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _parse_float(text: str, path, row: int, col: str) -> float:
@@ -41,38 +71,29 @@ def _parse_float(text: str, path, row: int, col: str) -> float:
         return float(text)
     except ValueError:
         raise DataError(
-            f"{path}: row {row}, column {col!r}: not a number: {text.strip()!r}"
+            f"{path}: row {row}, column {col!r}: not a number: {text!r}"
         ) from None
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str], list[str]]:
     """Labeled matrix: header = column labels, first cell of each row = label."""
-    rows = _open_rows(path)
-    if len(rows) < 2 or len(rows[0]) < 2:
+    header, rows = _read_table(path, [], prefix=True)
+    col_labels = header[1:]
+    if not col_labels:
         raise DataError(f"{path}: expected a labeled matrix with a header row")
-    col_labels = [c.strip() for c in rows[0][1:]]
-    row_labels = []
-    values = np.empty((len(rows) - 1, len(col_labels)))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(col_labels) + 1:
-            raise DataError(
-                f"{path}: row {i} has {len(row)} cells, expected "
-                f"{len(col_labels) + 1}"
-            )
-        row_labels.append(row[0].strip())
-        for j, cell in enumerate(row[1:]):
-            values[i - 2, j] = _parse_float(cell, path, i, col_labels[j])
-    return values, row_labels, col_labels
+    values = np.array([
+        [_parse_float(cell, path, i, col) for col, cell in zip(col_labels, row[1:])]
+        for i, row in rows
+    ])
+    return values, [row[0] for _, row in rows], col_labels
 
 
 def write_matrix_csv(path, values: np.ndarray, row_labels: Sequence[str],
                      col_labels: Sequence[str]) -> None:
-    values = np.asarray(values)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([""] + list(col_labels))
-        for label, row in zip(row_labels, values):
-            writer.writerow([label] + [_fmt(v) for v in row])
+    _write_table(path, [""] + list(col_labels), (
+        [label] + [_fmt(v) for v in row]
+        for label, row in zip(row_labels, np.asarray(values))
+    ))
 
 
 def _cell_rows(matrix: np.ndarray, genotype_labels: Sequence[str],
@@ -116,87 +137,45 @@ def read_kinship_csv(path) -> RelationshipMatrix:
 
 
 def write_phenotypes_csv(path, records: Iterable[PhenotypeRecord]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["genotype", "environment", "value"])
-        for rec in records:
-            writer.writerow([rec.genotype, rec.environment, _fmt(rec.value)])
+    _write_table(path, ["genotype", "environment", "value"], (
+        [rec.genotype, rec.environment, _fmt(rec.value)] for rec in records
+    ))
 
 
 def read_phenotypes_csv(path) -> list[PhenotypeRecord]:
     """Phenotype CSV with header ``genotype,environment,value``."""
-    rows = _open_rows(path)
-    if not rows or [c.strip() for c in rows[0]] != ["genotype", "environment", "value"]:
-        raise DataError(
-            f"{path}: expected header 'genotype,environment,value'"
-        )
-    records = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise DataError(f"{path}: row {i} has {len(row)} cells, expected 3")
-        value = _parse_float(row[2], path, i, "value")
-        records.append(PhenotypeRecord(row[0].strip(), row[1].strip(), value))
-    if not records:
-        raise DataError(f"{path}: no phenotype records")
-    return records
+    _, rows = _read_table(path, ["genotype", "environment", "value"])
+    return [PhenotypeRecord(g, e, _parse_float(v, path, i, "value"))
+            for i, (g, e, v) in rows]
 
 
 def read_weather_csv(path) -> list[DailyWeatherRecord]:
     """Weather CSV: environment, day, t_min, t_max, then covariate columns."""
-    rows = _open_rows(path)
-    if not rows:
-        raise DataError(f"{path}: empty weather file")
-    header = [c.strip() for c in rows[0]]
-    required = ["environment", "day", "t_min", "t_max"]
-    if header[: len(required)] != required:
-        raise DataError(
-            f"{path}: expected header starting 'environment,day,t_min,t_max', "
-            f"got {','.join(header[:4])}"
-        )
-    extra = header[len(required):]
+    header, rows = _read_table(
+        path, ["environment", "day", "t_min", "t_max"], prefix=True
+    )
     records = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
-            )
+    for i, row in rows:
         try:
             day = int(row[1])
         except ValueError:
             raise DataError(
-                f"{path}: row {i}, column 'day': not an integer: {row[1].strip()!r}"
+                f"{path}: row {i}, column 'day': not an integer: {row[1]!r}"
             ) from None
-        covariates = {
-            name: _parse_float(cell, path, i, name)
-            for name, cell in zip(extra, row[4:])
-        }
-        records.append(
-            DailyWeatherRecord(
-                environment=row[0].strip(),
-                day=day,
-                t_min=_parse_float(row[2], path, i, "t_min"),
-                t_max=_parse_float(row[3], path, i, "t_max"),
-                covariates=covariates,
-            )
+        t_min, t_max, *covariates = (
+            _parse_float(cell, path, i, name)
+            for name, cell in zip(header[2:], row[2:])
         )
-    if not records:
-        raise DataError(f"{path}: no weather records")
+        records.append(DailyWeatherRecord(
+            row[0], day, t_min, t_max, dict(zip(header[4:], covariates))
+        ))
     return records
 
 
 def read_targets_csv(path) -> list[tuple[str, str]]:
-    """Target cells CSV with header ``genotype,environment``."""
-    rows = _open_rows(path)
-    if not rows or [c.strip() for c in rows[0][:2]] != ["genotype", "environment"]:
-        raise DataError(f"{path}: expected header 'genotype,environment'")
-    targets = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) < 2:
-            raise DataError(f"{path}: row {i} has {len(row)} cells, expected 2")
-        targets.append((row[0].strip(), row[1].strip()))
-    if not targets:
-        raise DataError(f"{path}: no target cells")
-    return targets
+    """Target cells CSV whose header starts ``genotype,environment``."""
+    _, rows = _read_table(path, ["genotype", "environment"], prefix=True)
+    return [(row[0], row[1]) for _, row in rows]
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -225,29 +204,25 @@ def _beta_names(environment_labels: Sequence[str]) -> list[str]:
 def write_fit_dir(out_dir, result: FitResult) -> None:
     """Write params.csv, blups.csv, loglik.csv, and ai.csv for one fit."""
     os.makedirs(out_dir, exist_ok=True)
-    beta_names = _beta_names(result.environment_labels)
-    with open(os.path.join(out_dir, "params.csv"), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["name", "value"])
-        for name, value in zip(result.param_names[:-1], result.kappa_hat):
-            writer.writerow([name, _fmt(value)])
-        writer.writerow(["resid_var", _fmt(result.resid_var_hat)])
-        for name, value in zip(beta_names, result.beta_hat):
-            writer.writerow([name, _fmt(value)])
-        writer.writerow(["loglik", _fmt(result.loglik)])
-        writer.writerow(["converged", str(int(result.converged))])
-        writer.writerow(["iterations", str(result.iterations)])
-    with open(os.path.join(out_dir, "blups.csv"), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["genotype", "environment", "blup"])
-        writer.writerows(_cell_rows(
-            result.blup_matrix, result.genotype_labels, result.environment_labels
-        ))
-    with open(os.path.join(out_dir, "loglik.csv"), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", "loglik"])
-        for i, value in enumerate(result.loglik_trace):
-            writer.writerow([str(i), _fmt(value)])
+    params = [
+        *zip(result.param_names[:-1], result.kappa_hat),
+        ("resid_var", result.resid_var_hat),
+        *zip(_beta_names(result.environment_labels), result.beta_hat),
+        ("loglik", result.loglik),
+    ]
+    _write_table(os.path.join(out_dir, "params.csv"), ["name", "value"], [
+        *([name, _fmt(v)] for name, v in params),
+        ["converged", str(int(result.converged))],
+        ["iterations", str(result.iterations)],
+    ])
+    _write_table(
+        os.path.join(out_dir, "blups.csv"), ["genotype", "environment", "blup"],
+        _cell_rows(result.blup_matrix, result.genotype_labels,
+                   result.environment_labels),
+    )
+    _write_table(os.path.join(out_dir, "loglik.csv"), ["iteration", "loglik"], (
+        [str(i), _fmt(v)] for i, v in enumerate(result.loglik_trace)
+    ))
     write_matrix_csv(
         os.path.join(out_dir, "ai.csv"),
         result.ai_matrix,
@@ -272,53 +247,27 @@ class StoredFit:
 def read_fit_dir(fit_dir) -> StoredFit:
     """Load a fit directory written by :func:`write_fit_dir`."""
     params_path = os.path.join(fit_dir, "params.csv")
-    rows = _open_rows(params_path)
-    if not rows or [c.strip() for c in rows[0]] != ["name", "value"]:
-        raise DataError(f"{params_path}: expected header 'name,value'")
-    params: dict[str, float] = {}
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise DataError(f"{params_path}: row {i} has {len(row)} cells, expected 2")
-        params[row[0].strip()] = _parse_float(row[1], params_path, i, "value")
+    _, rows = _read_table(params_path, ["name", "value"])
+    params = {name: _parse_float(v, params_path, i, "value") for i, (name, v) in rows}
     blups_path = os.path.join(fit_dir, "blups.csv")
-    rows = _open_rows(blups_path)
-    if not rows or [c.strip() for c in rows[0]] != ["genotype", "environment", "blup"]:
-        raise DataError(f"{blups_path}: expected header 'genotype,environment,blup'")
-    genotype_labels: list[str] = []
-    gen_seen: set[str] = set()
-    environment_labels: list[str] = []
-    cells_seen: set[tuple[str, str]] = set()
-    triples = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise DataError(f"{blups_path}: row {i} has {len(row)} cells, expected 3")
-        g, e = row[0].strip(), row[1].strip()
-        if (g, e) in cells_seen:
+    _, rows = _read_table(blups_path, ["genotype", "environment", "blup"])
+    cells: dict[tuple[str, str], float] = {}
+    for i, (g, e, v) in rows:
+        if (g, e) in cells:
             raise DataError(f"{blups_path}: row {i}: duplicate cell ({g!r}, {e!r})")
-        cells_seen.add((g, e))
-        if e not in environment_labels:
-            environment_labels.append(e)
-        if e == environment_labels[0] and g not in gen_seen:
-            gen_seen.add(g)
-            genotype_labels.append(g)
-        triples.append((g, e, _parse_float(row[2], blups_path, i, "blup")))
-    n, p = len(genotype_labels), len(environment_labels)
-    if n * p != len(triples):
+        cells[g, e] = _parse_float(v, blups_path, i, "blup")
+    # Environments in order of first appearance; genotypes in the first one's order.
+    environment_labels = list(dict.fromkeys(e for _, e in cells))
+    genotype_labels = [g for g, e in cells if e == environment_labels[0]]
+    if set(cells) != set(itertools.product(genotype_labels, environment_labels)):
         raise DataError(
-            f"{blups_path}: expected {n * p} rows for {n} genotypes x {p} "
-            f"environments, got {len(triples)}"
+            f"{blups_path}: the {len(cells)} cells do not cover a complete "
+            f"genotype-by-environment grid ({len(genotype_labels)} genotypes x "
+            f"{len(environment_labels)} environments)"
         )
-    gen_map = {g: i for i, g in enumerate(genotype_labels)}
-    env_map = {e: j for j, e in enumerate(environment_labels)}
-    blup_matrix = np.empty((n, p))
-    for g, e, value in triples:
-        try:
-            blup_matrix[gen_map[g], env_map[e]] = value
-        except KeyError:
-            raise DataError(
-                f"{blups_path}: unexpected cell ({g!r}, {e!r}); the file must "
-                "cover a complete genotype-by-environment grid"
-            ) from None
+    blup_matrix = np.array(
+        [[cells[g, e] for e in environment_labels] for g in genotype_labels]
+    )
     beta_names = _beta_names(environment_labels)
     missing = [name for name in beta_names + ["resid_var"] if name not in params]
     if missing:
@@ -329,39 +278,30 @@ def read_fit_dir(fit_dir) -> StoredFit:
 
 def write_cv_report(path, rows) -> None:
     """CV report CSV with one row per (model, replicate, lambda)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["model", "replicate", "lambda", "mean_pearson", "mean_rmse",
-             "fit_seconds", "converged"]
-        )
-        for r in rows:
-            writer.writerow(
-                [r.model, str(r.replicate), _fmt(r.lam), _fmt(r.mean_pearson),
-                 _fmt(r.mean_rmse), _fmt(r.fit_seconds), str(int(r.converged))]
-            )
+    _write_table(path, ["model", "replicate", "lambda", "mean_pearson", "mean_rmse",
+                        "fit_seconds", "converged"], (
+        [r.model, str(r.replicate), _fmt(r.lam), _fmt(r.mean_pearson),
+         _fmt(r.mean_rmse), _fmt(r.fit_seconds), str(int(r.converged))]
+        for r in rows
+    ))
 
 
 def write_truth_csv(path, sim_output, param_names: Sequence[str]) -> None:
     """Truth CSV for a simulation: parameter rows then per-cell genetic values."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["name", "genotype", "environment", "value"])
-        for name, value in zip(param_names, sim_output.true_params):
-            writer.writerow([name, "", "", _fmt(value)])
-        writer.writerow(["resid_var", "", "", _fmt(sim_output.resid_var)])
-        dataset = sim_output.dataset
-        writer.writerows(
-            ["genetic_value"] + row
-            for row in _cell_rows(sim_output.true_genetic_matrix,
-                                  dataset.genotype_labels, dataset.environment_labels)
-        )
+    dataset = sim_output.dataset
+    params = [*zip(param_names, sim_output.true_params),
+              ("resid_var", sim_output.resid_var)]
+    _write_table(path, ["name", "genotype", "environment", "value"], [
+        *([name, "", "", _fmt(v)] for name, v in params),
+        *(["genetic_value"] + row for row in _cell_rows(
+            sim_output.true_genetic_matrix,
+            dataset.genotype_labels, dataset.environment_labels,
+        )),
+    ])
 
 
 def write_predictions_csv(path, predictions: Iterable[CellPrediction]) -> None:
     """Cell predictions CSV with header ``genotype,environment,blup,fitted``."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["genotype", "environment", "blup", "fitted"])
-        for c in predictions:
-            writer.writerow([c.genotype, c.environment, _fmt(c.blup), _fmt(c.fitted)])
+    _write_table(path, ["genotype", "environment", "blup", "fitted"], (
+        [c.genotype, c.environment, _fmt(c.blup), _fmt(c.fitted)] for c in predictions
+    ))

@@ -78,6 +78,13 @@ class SimConfig:
     def p_environments(self) -> int:
         return self.structure.p
 
+    @property
+    def environment_labels(self) -> list[str]:
+        """The truth structure's labels, else ``E01``, ``E02``, ..."""
+        if self.structure.env_labels is not None:
+            return list(self.structure.env_labels)
+        return [f"E{j + 1:02d}" for j in range(self.p_environments)]
+
 
 @dataclass
 class SimOutput:
@@ -177,9 +184,7 @@ def simulate_met(config: SimConfig) -> SimOutput:
     u = l_k @ z @ l_sigma.T
     eps = rng.standard_normal((config.n_genotypes, p)) * np.sqrt(config.resid_var)
     y = env_means[None, :] + u + eps
-    env_labels = [f"E{j + 1:02d}" for j in range(p)]
-    if config.structure.env_labels is not None:
-        env_labels = list(config.structure.env_labels)
+    env_labels = config.environment_labels
     records = [
         PhenotypeRecord(kinship.labels[g], env_labels[e], float(y[g, e]))
         for e in range(p)

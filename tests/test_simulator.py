@@ -145,7 +145,9 @@ class TestSimulateMet:
         assert np.array_equal(out.true_genetic_matrix, np.zeros((8, 3)))
 
     def test_cell_order_is_environment_major(self):
-        out = simulate_met(base_config(MainEffect(2), [1.0], 0.0, n=3, seed=15))
+        config = base_config(MainEffect(2), [1.0], 0.0, n=3, seed=15)
+        assert config.environment_labels == ["E01", "E02"]
+        out = simulate_met(config)
         records = out.dataset.records
         assert [r.environment for r in records[:3]] == ["E01"] * 3
         assert [r.environment for r in records[3:]] == ["E02"] * 3
@@ -156,8 +158,10 @@ class TestSimulateMet:
 
     def test_structure_labels_win(self):
         corr = gaussian_reference_corr(2, seed=13)
-        out = simulate_met(base_config(CorrSingleVar(corr), [1.0], 0.4, seed=14, n=3))
+        config = base_config(CorrSingleVar(corr), [1.0], 0.4, seed=14, n=3)
+        out = simulate_met(config)
         assert out.dataset.environment_labels == list(corr.labels)
+        assert config.environment_labels == list(corr.labels)
 
     def test_monte_carlo_covariance(self):
         # Fixed kinship, 8000 fresh draws: the sample second moment of the

@@ -119,8 +119,9 @@ class TestEvaluateHandValues:
 
 class TestFiniteDifferenceOracle:
     def test_all_kinds_match(self):
-        for structure, draw in structure_zoo(p=4, seed=4):
-            rng = np.random.default_rng(hash(structure.kind) % 2**32)
+        # A stable seed per kind: str hashes change from process to process.
+        for index, (structure, draw) in enumerate(structure_zoo(p=4, seed=4)):
+            rng = np.random.default_rng(index)
             for _ in range(20):
                 kappa = draw(rng)
                 analytic = structure.evaluate(kappa).derivs
