@@ -2,14 +2,15 @@
 
 Every file is one table format: a header row, then one or more rows with
 exactly the header's cell count.  Readers check the header (the whole row,
-or its leading columns for weather and targets, which allow more), each
-row's cell count and a non-empty body; cells are stripped of surrounding
-whitespace.  Labeled square matrices are such a table whose header holds
-the column labels after an empty corner cell and whose rows each start
-with their label.  Matrices read from disk may be asymmetric up to 1e-8 and
-are symmetrized; anything worse is a data error.  All numeric output uses
-17 significant digits so cross-run diffs are meaningful.  Every parse
-error names the file, and the row and column where there is one.
+or its leading columns for weather and targets, which allow more), that
+no column name repeats, each row's cell count and a non-empty body; cells
+are stripped of surrounding whitespace.  Labeled square matrices are such
+a table whose header holds the column labels after an empty corner cell
+and whose rows each start with their label.  Matrices read from disk may
+be asymmetric up to 1e-8 and are symmetrized; anything worse is a data
+error.  All numeric output uses 17 significant digits so cross-run diffs
+are meaningful.  Every parse error names the file, and the row and column
+where there is one.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ def _read_table(path, header: Sequence[str],
                 prefix: bool = False) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """The stripped header and ``(row number, cells)`` body rows of a table.
 
-    The header must equal ``header``, or start with it when ``prefix``.
+    The header must equal ``header``, or start with it when ``prefix``, and
+    name each column once.
     """
     try:
         with open(path, newline="") as handle:
@@ -50,6 +52,9 @@ def _read_table(path, header: Sequence[str],
             f"{path}: expected header{' starting' if prefix else ''} "
             f"'{','.join(header)}', got '{','.join(got)}'"
         )
+    repeated = next((name for i, name in enumerate(got) if name in got[:i]), None)
+    if repeated is not None:
+        raise DataError(f"{path}: column {repeated!r} appears twice in the header")
     body = list(enumerate(rows[1:], start=2))
     for i, row in body:
         if len(row) != len(got):

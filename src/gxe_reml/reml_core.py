@@ -43,12 +43,29 @@ g^T M^-1 g (g the log-scale score, before clipping) are both below
 ``tol``.  ``FitResult.ai_matrix`` stays the plain AI, for standard errors.
 
 Cost per iteration: V is factored once per trial point, and the accepted
-trial's factor is reused for the score and AI matrix (potri turns it into
-the lower triangle of P in place, and only that triangle is read).  A fit
-factors V once at the start, once per accepted step and once per rejected
-step halving.  Products with an N-sized operand run on SciPy's BLAS, as the
-factorization does: NumPy and SciPy each bundle an OpenBLAS, and switching
-between their thread pools left one pool spinning while the other worked.
+trial's factor is reused for the score and AI matrix.  A fit factors once
+at the start, once per accepted step and once per rejected step halving.
+Two point evaluators do this behind one interface (``loglik``, ``beta``,
+``py``, ``sigma``, ``derivatives``), chosen once per dataset:
+
+* ``_PointEvaluation`` serves any record set.  It factors the N x N V;
+  potri turns the factor into the lower triangle of P in place, and only
+  that triangle is read.
+* ``_SpectralPoint`` serves complete trials, where every genotype is
+  observed once in every environment.  With C an orthonormal complement
+  of 1_n (one Householder reflector) and C^T K C = U D U^T decomposed once,
+  the contrasts (I_p kron C U)^T y are REML's error contrasts, and in them
+  V is n - 1 blocks B_i = d_i Sigma + resid_var I_p.  Then
+  l_R = -1/2 [sum_i log|B_i| + sum_i y_i^T B_i^-1 y_i + p log n], y_i the
+  rows of U^T C^T Y for the n x p phenotype grid Y (p log n = log|X^T X|).
+  One batched Cholesky call factors the blocks per trial point, and score,
+  AI and C reduce to p x p sums over them.  The contrasts also avoid the
+  cancellation in log|V| + log|X^T V^-1 X| + y^T P y as resid_var -> 0
+  when K 1 = 0 (a centred kinship).
+
+Products with an N-sized operand run on SciPy's BLAS, as the factorization
+does: NumPy and SciPy each bundle an OpenBLAS, and switching between their
+thread pools left one pool spinning while the other worked.
 
 BLUPs at the fitted parameters are u_hat = (Sigma_hat kron K) Z^T P y,
 computed as the n x p matrix K M Sigma_hat where M scatters P y over
@@ -292,7 +309,8 @@ def _cell_blups(dataset: Dataset, weights: np.ndarray, sigma: np.ndarray) -> np.
 
 
 class _PointEvaluation:
-    """Likelihood pieces at one (Sigma, resid_var) point, factor retained."""
+    """Likelihood pieces at one (Sigma, resid_var) point of any record set,
+    from the N x N Cholesky factor of V, which is retained."""
 
     def __init__(self, ws: "_RemlWorkspace", sigma: np.ndarray, resid_var: float):
         self.ws = ws
@@ -365,8 +383,95 @@ class _PointEvaluation:
         return grad, 0.5 * (ai + ai.T), corr
 
 
+def _is_complete(dataset: Dataset) -> bool:
+    """Every genotype observed in every environment (cells are unique)."""
+    return dataset.n >= 2 and dataset.n_records == dataset.n * dataset.p
+
+
+def _contrast_rotation(kin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues d (round-off negatives set to 0) and the n x (n - 1)
+    basis C U of C^T K C = U D U^T.
+
+    C is columns 2..n of the Householder reflector I - v v^T / v_0 with
+    v = 1_n / sqrt(n) + e_1, an orthonormal complement of 1_n.
+    """
+    n = len(kin)
+    v = np.full(n, 1.0 / np.sqrt(n))
+    v[0] += 1.0
+    c = np.asfortranarray(np.outer(v, v[1:] / -v[0]))
+    c[1:] += np.eye(n - 1)
+    ckc = blas.dgemm(1.0, c, blas.dgemm(1.0, kin, c), trans_a=1)
+    d, u = scipy.linalg.eigh(ckc, driver="evd", check_finite=False)
+    return np.maximum(d, 0.0), blas.dgemm(1.0, c, u)
+
+
+class _SpectralPoint:
+    """Likelihood pieces at one point of a complete trial, in the contrast
+    eigenbasis: the rotated V is block diagonal with B_i = d_i Sigma +
+    resid_var I, factored in one batched Cholesky call."""
+
+    def __init__(self, ws: "_RemlWorkspace", sigma: np.ndarray, resid_var: float):
+        self.ws = ws
+        self.sigma = sigma
+        if not np.all(np.isfinite(sigma)):
+            raise NumericalError("covariance matrix is not finite")
+        blocks = ws.d[:, None, None] * sigma
+        blocks += resid_var * np.eye(len(sigma))
+        # A block whose trace overflows has eigenvalues near the double range.
+        traces = np.trace(blocks, axis1=1, axis2=2)
+        if not (np.all(np.isfinite(blocks)) and np.all(np.isfinite(traces))):
+            raise NumericalError("covariance matrix is not finite")
+        try:
+            chol = scipy.linalg.cholesky(blocks, lower=True, check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise NumericalError(f"covariance factorization failed: {exc}") from None
+        logdet_v = 2.0 * float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
+        # r_i = B_i^-1 y_i through z_i = L_i^-1 y_i, so y^T P y = sum |z_i|^2.
+        self.inv_chol = inv_chol = np.linalg.inv(chol)
+        z = np.einsum("ijk,ik->ij", inv_chol, ws.y_rot)
+        self.r = r = np.einsum("ikj,ik->ij", inv_chol, z)
+        self.loglik = -0.5 * (logdet_v + float(np.sum(z * z)) + ws.logdet_xx)
+        if not np.isfinite(self.loglik):
+            raise NumericalError("restricted log-likelihood is not finite")
+        py_grid = blas.dgemm(1.0, ws.cu, r)
+        self.py = py_grid[ws.gen_idx, ws.env_idx]
+        # y - V P y = X beta: per-environment means, in the reference coding.
+        vpy = blas.dgemm(1.0, blas.dgemm(1.0, ws.kin, py_grid), sigma)
+        means = (ws.y_grid - vpy - resid_var * py_grid).mean(axis=0)
+        self.beta = np.concatenate([means[:1], means[1:] - means[0]])
+
+    def derivatives(
+        self, structure: VarianceStructure, kappa: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """As :meth:`_PointEvaluation.derivatives`, from the p x p blocks:
+        T = sum_i d_i B_i^-1 and Q = sum_i d_i r_i r_i^T give the traces,
+        and w_i = d_i dSigma r_i (r_i for the residual) the AI matrix."""
+        d, r = self.ws.d, self.r
+        derivs = structure.evaluate(kappa).derivs
+        b_inv = np.matmul(self.inv_chol.transpose(0, 2, 1), self.inv_chol)
+        dr = r * d[:, None]
+        t_q = np.tensordot(d, b_inv, axes=1) - dr.T @ r
+        t_q = 0.5 * (t_q + t_q.T)
+        w = np.array([dr @ ds for ds in derivs] + [r])
+        bw = np.einsum("ijk,aik->aij", b_inv, w)
+        ai = 0.5 * np.einsum("aij,bij->ab", w, bw)
+        tr_p = float(np.trace(b_inv, axis1=1, axis2=2).sum())
+        grad = -0.5 * np.array(
+            [np.sum(ds * t_q) for ds in derivs] + [tr_p - float(np.sum(r * r))]
+        )
+        k = len(derivs)
+        corr = np.zeros((k + 1, k + 1))
+        corr[:k, :k] = 0.5 * structure.curvature(kappa, t_q)
+        return grad, 0.5 * (ai + ai.T), corr
+
+
 class _RemlWorkspace:
-    """Cached per-dataset quantities shared across likelihood evaluations."""
+    """Cached per-dataset quantities shared across likelihood evaluations.
+
+    A complete trial is rotated once into the contrast eigenbasis and
+    evaluated by :class:`_SpectralPoint`; any other by the dense
+    :class:`_PointEvaluation`.
+    """
 
     def __init__(self, dataset: Dataset, structure: VarianceStructure):
         if structure.p != dataset.p:
@@ -384,13 +489,27 @@ class _RemlWorkspace:
             )
         self.y = dataset.values
         self.env_idx = dataset.env_index_array
-        self.x = _design_x(dataset)
-        gen = dataset.gen_index_array
-        self.k_rec = np.take(dataset.kinship.values[gen], gen, axis=1)
-        self.env_onehot = np.asfortranarray(np.eye(dataset.p)[self.env_idx])
+        self.gen_idx = gen = dataset.gen_index_array
+        kin = dataset.kinship.values
+        if _is_complete(dataset):
+            self._evaluate = _SpectralPoint
+            self.kin = kin
+            self.d, self.cu = _contrast_rotation(kin)
+            self.y_grid = np.zeros((dataset.n, dataset.p), order="F")
+            self.y_grid[gen, self.env_idx] = self.y
+            self.y_rot = blas.dgemm(1.0, self.cu, self.y_grid, trans_a=1)
+            # log|X^T X| = p log n for the reference coding of a complete trial.
+            self.logdet_xx = dataset.p * np.log(dataset.n)
+        else:
+            self._evaluate = _PointEvaluation
+            self.x = _design_x(dataset)
+            self.k_rec = np.take(kin[gen], gen, axis=1)
+            self.env_onehot = np.asfortranarray(np.eye(dataset.p)[self.env_idx])
 
-    def point(self, sigma: np.ndarray, resid_var: float) -> _PointEvaluation:
-        return _PointEvaluation(self, sigma, resid_var)
+    def point(
+        self, sigma: np.ndarray, resid_var: float
+    ) -> _PointEvaluation | _SpectralPoint:
+        return self._evaluate(self, sigma, resid_var)
 
 
 @dataclass
@@ -513,13 +632,14 @@ def fit(
     parameters), AI o kappa kappa^T and that AI ridged, else follows the
     gradient.  Convergence is declared when the last accepted gain and the
     Newton decrement g^T M^-1 g of the unclipped step both fall below
-    ``tol``; a step whose every halving fails also ends the fit as
-    converged.  Exceeding ``max_iter`` returns ``converged=False``.
+    ``tol``.  A step whose every halving fails, and exceeding ``max_iter``,
+    end the fit with ``converged=False``.
 
-    Each accepted step costs one Cholesky factorization of the N x N
-    covariance V, since the accepted trial point is reused for the
-    derivatives, plus one per rejected halving; P is formed and read as its
-    lower triangle and N x N products run on SciPy's BLAS (module docstring).
+    Each accepted step costs one Cholesky factorization, since the accepted
+    trial point is reused for the derivatives, plus one per rejected
+    halving: of the N x N covariance V (``_PointEvaluation``), or on a
+    complete trial one batched call over its n - 1 p x p blocks in the
+    contrast eigenbasis (``_SpectralPoint``; module docstring).
     Trial points whose parameters overflow are skipped without factoring.  A
     parameter at the lower bound pushed further down is left out of the step,
     and a log-scale step is clipped to +-5, or scaled whole to that size when
@@ -629,8 +749,7 @@ def fit(
                 accepted = (eta_new, params_new, clamped, trial)
                 break
         if accepted is None:
-            # No ascent found in any halved step: numerically at an optimum.
-            converged = True
+            # Every halving failed: stalled, not shown to be stationary.
             break
         eta, params, clamped, cur = accepted
         for name in np.array(param_names)[clamped]:

@@ -139,6 +139,35 @@ def dense_reml(dataset: Dataset, sigma: np.ndarray, resid_var: float) -> float:
     return -0.5 * (ld_v + ld_a + float(y @ proj @ y))
 
 
+def contrast_reml(dataset: Dataset, sigma: np.ndarray, resid_var: float) -> float:
+    """REML log-likelihood of the error contrasts, free of cancellation.
+
+    With L an orthonormal basis of the complement of X's columns,
+    -0.5 * (log|L^T V L| + y^T L (L^T V L)^-1 L^T y) - 0.5 * log|X^T X|
+    equals the :func:`dense_reml` formula, but stays accurate where V is
+    nearly singular along X (resid_var -> 0 with K 1 = 0).
+    """
+    design = build_design(dataset)
+    x, z = design.X, design.Z
+    basis = np.linalg.svd(x, full_matrices=True)[0][:, x.shape[1]:]
+    v = z @ np.kron(sigma, dataset.kinship.values) @ z.T
+    lvl = basis.T @ v @ basis + resid_var * np.eye(basis.shape[1])
+    ly = basis.T @ dataset.values
+    sign_l, ld_l = np.linalg.slogdet(lvl)
+    sign_x, ld_x = np.linalg.slogdet(x.T @ x)
+    assert sign_l > 0 and sign_x > 0, "oracle hit a non-PD matrix"
+    return -0.5 * (ld_l + float(ly @ np.linalg.solve(lvl, ly)) + ld_x)
+
+
+def dense_projection(dataset: Dataset, sigma: np.ndarray, resid_var: float) -> np.ndarray:
+    """P = V^-1 - V^-1 X (X^T V^-1 X)^-1 X^T V^-1 from dense inverses."""
+    design = build_design(dataset)
+    x, z = design.X, design.Z
+    v = z @ np.kron(sigma, dataset.kinship.values) @ z.T
+    vi = np.linalg.inv(v + resid_var * np.eye(len(v)))
+    return vi - vi @ x @ np.linalg.inv(x.T @ vi @ x) @ x.T @ vi
+
+
 def dense_score_and_ai(
     dataset: Dataset, structure, kappa: np.ndarray, resid_var: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -150,15 +179,12 @@ def dense_score_and_ai(
     score_i = -1/2 (tr(P Vdot_i) - y^T P Vdot_i P y) and
     AI_ij = 1/2 y^T P Vdot_i P Vdot_j P y.
     """
-    design = build_design(dataset)
-    x, z = design.X, design.Z
+    z = build_design(dataset).Z
     y = dataset.values
     kin = dataset.kinship.values
     ev = structure.evaluate(np.asarray(kappa, dtype=float))
-    eye = np.eye(len(y))
-    vi = np.linalg.inv(z @ np.kron(ev.sigma, kin) @ z.T + resid_var * eye)
-    proj = vi - vi @ x @ np.linalg.inv(x.T @ vi @ x) @ x.T @ vi
-    vdots = [z @ np.kron(d, kin) @ z.T for d in ev.derivs] + [eye]
+    proj = dense_projection(dataset, ev.sigma, resid_var)
+    vdots = [z @ np.kron(d, kin) @ z.T for d in ev.derivs] + [np.eye(len(y))]
     py = proj @ y
     score = np.array(
         [-0.5 * (np.trace(proj @ vd) - py @ vd @ py) for vd in vdots]

@@ -12,10 +12,11 @@ import sys
 import numpy as np
 import pytest
 
+from gxe_reml import Dataset, build_structure
 from gxe_reml import io as gio
 from gxe_reml.cli import _build_parser, main
 
-from helpers import gaussian_reference_corr, random_distance
+from helpers import contrast_reml, gaussian_reference_corr, random_distance
 
 
 def read_csv_rows(path):
@@ -250,6 +251,22 @@ class TestFitCommand:
         logliks = [float(r[1]) for r in trace_rows[1:]]
         assert all(b >= a - 1e-9 for a, b in zip(logliks, logliks[1:])), \
             "the stored trace must be non-decreasing"
+
+    def test_reported_loglik_matches_the_contrast_oracle(self, workspace):
+        # The fixture's kinship is centred, so its fit drives resid_var to the
+        # bound, where the dense formula loses digits to cancellation.
+        fit_dir, sim = workspace["fit"], workspace["sim"]
+        corr = gio.read_correlation_csv(workspace["corr"])
+        dataset = Dataset(
+            gio.read_phenotypes_csv(sim / "phenotypes.csv"),
+            gio.read_kinship_csv(sim / "kinship.csv"),
+            corr.labels,
+        )
+        sigma = build_structure("cor1", corr=corr).sigma(
+            [float(params_value(fit_dir, "var"))]
+        )
+        want = contrast_reml(dataset, sigma, float(params_value(fit_dir, "resid_var")))
+        assert abs(float(params_value(fit_dir, "loglik")) - want) <= 1e-8 * abs(want)
 
     def test_malformed_phenotype_value(self, tmp_path, workspace, capsys):
         bad = tmp_path / "bad.csv"

@@ -210,6 +210,11 @@ class TestReaderErrors:
             ("E1", 1, 60.0, 80.0)
         assert dict(record.covariates) == {"rain": 0.5, "srad": 20.0}
 
+    def test_weather_duplicate_column(self, tmp_path):
+        path = write_text(tmp_path / "w.csv", WEATHER_HEADER + ",rain",
+                          "E1,1,60,80,1,7")
+        self.raises(gio.read_weather_csv, path, "'rain'", "twice")
+
     # targets
     def test_targets_header(self, tmp_path):
         path = write_text(tmp_path / "t.csv", "geno,env", "g1,E1")
@@ -287,6 +292,10 @@ class TestReaderErrors:
     def test_matrix_cell_count(self, tmp_path):
         path = write_text(tmp_path / "m.csv", ",a,b", "a,1,0", "b,0")
         self.raises(gio.read_matrix_csv, path, "row 3", "2 cells")
+
+    def test_matrix_duplicate_column(self, tmp_path):
+        path = write_text(tmp_path / "m.csv", ",a,a", "a,1,0", "b,0,1")
+        self.raises(gio.read_matrix_csv, path, "'a'", "twice")
 
     def test_matrix_without_rows(self, tmp_path):
         path = write_text(tmp_path / "m.csv", ",a,b")

@@ -23,9 +23,11 @@ from gxe_reml import (
     reml_loglik,
     score_and_ai,
 )
+from gxe_reml import reml_core
 
 from helpers import (
     build_design,
+    dense_projection,
     dense_reml,
     dense_score_and_ai,
     gaussian_reference_corr,
@@ -75,21 +77,29 @@ def assert_close(got, want, tol, what):
 @SETTINGS
 @given(instances(), st.sampled_from(STRUCTURE_KINDS))
 def test_record_permutation(instance, kind):
+    # On the drawn instance and on the complete trial with its kinship, which
+    # is evaluated in the contrast eigenbasis and maps P y back per record.
     dataset, corr, dist, seed = instance
-    rng = np.random.default_rng(seed)
-    structure = structure_for(kind, dataset.environment_labels, corr, dist)
-    kappa = draw_kappa(structure, rng)
-    resid = float(rng.uniform(0.4, 1.5))
-    order = rng.permutation(dataset.n_records)
-    shuffled = Dataset(
-        [dataset.records[i] for i in order], dataset.kinship, dataset.environment_labels
-    )
-    want = dense_reml(dataset, structure.sigma(kappa), resid)
-    assert_close(reml_loglik(shuffled, structure, kappa, resid), want, 1e-10, "loglik")
-    grad, ai = score_and_ai(shuffled, structure, kappa, resid)
-    ref_grad, ref_ai = dense_score_and_ai(dataset, structure, kappa, resid)
-    assert_close(grad, ref_grad, 1e-9, "score")
-    assert_close(ai, ref_ai, 1e-9, "AI matrix")
+    complete = make_dataset(dataset.n, dataset.p, seed=seed, kinship=dataset.kinship)
+    for data in (dataset, complete):
+        rng = np.random.default_rng(seed)
+        structure = structure_for(kind, data.environment_labels, corr, dist)
+        kappa = draw_kappa(structure, rng)
+        resid = float(rng.uniform(0.4, 1.5))
+        order = rng.permutation(data.n_records)
+        shuffled = Dataset(
+            [data.records[i] for i in order], data.kinship, data.environment_labels
+        )
+        sigma = structure.sigma(kappa)
+        want = dense_reml(data, sigma, resid)
+        assert_close(reml_loglik(shuffled, structure, kappa, resid), want, 1e-10, "loglik")
+        grad, ai = score_and_ai(shuffled, structure, kappa, resid)
+        ref_grad, ref_ai = dense_score_and_ai(data, structure, kappa, resid)
+        assert_close(grad, ref_grad, 1e-9, "score")
+        assert_close(ai, ref_ai, 1e-9, "AI matrix")
+        py = reml_core._RemlWorkspace(shuffled, structure).point(sigma, resid).py
+        ref_py = dense_projection(data, sigma, resid) @ data.values
+        assert_close(py, ref_py[order], 1e-9, "P y")
 
 
 @SETTINGS

@@ -447,6 +447,18 @@ class TestFit:
         assert np.all(np.isfinite(result.loglik_trace))
         assert np.all(np.isfinite(result.kappa_hat))
 
+    def test_failed_halvings_end_the_fit_unconverged(self, monkeypatch):
+        # Every step descends, so every halving fails at the start: the fit
+        # stalls there and must not claim a stationary point.
+        dataset = make_dataset(6, 3, seed=56)
+        monkeypatch.setattr(
+            reml_core, "_newton_step",
+            lambda ai, corr, grad: -grad / np.max(np.abs(grad)),
+        )
+        result = fit(dataset, MainEffect(3))
+        assert result.converged is False
+        assert result.iterations == 0 and len(result.loglik_trace) == 1
+
     def test_frozen_bandwidth_matches_fixed_correlation(self):
         dist = random_distance(4, seed=27, mean_off=4.0)
         theta0 = 1.0 / 4.0
@@ -591,6 +603,52 @@ class TestFit:
             fit(dataset, MainEffect(2), resid_init=-1.0)
         with pytest.raises(InvalidInputError):
             fit(dataset, MainEffect(2), fixed={5: 1.0})
+
+
+class TestSpectralPath:
+    """Complete trials are evaluated in the contrast eigenbasis; the dense
+    evaluator, forced on the same data, must give the same numbers."""
+
+    @staticmethod
+    def evaluate(dataset, structure, kappa, resid, evaluator):
+        point = reml_core._RemlWorkspace(dataset, structure).point(
+            structure.sigma(kappa), resid
+        )
+        assert isinstance(point, evaluator)
+        grad, ai, corr = point.derivatives(structure, kappa)
+        blups = reml_core._cell_blups(dataset, point.py, point.sigma)
+        return {"loglik": point.loglik, "beta": point.beta, "score": grad,
+                "AI": ai, "C": corr, "BLUPs": blups}
+
+    def test_matches_the_dense_path(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        for n, seed in ((9, 71), (12, 72), (5, 73)):
+            dataset = make_dataset(n, 4, seed=seed)
+            for structure, draw in structure_zoo(4, seed=seed):
+                kappa, resid = draw(rng), float(rng.uniform(0.4, 1.5))
+                args = (dataset, structure, kappa, resid)
+                spectral = self.evaluate(*args, reml_core._SpectralPoint)
+                with monkeypatch.context() as patch:
+                    patch.setattr(reml_core, "_is_complete", lambda d: False)
+                    dense = self.evaluate(*args, reml_core._PointEvaluation)
+                for name, want in dense.items():
+                    got, want = np.asarray(spectral[name]), np.asarray(want)
+                    scale = max(np.max(np.abs(want)), 1e-300)
+                    err = np.max(np.abs(got - want)) / scale
+                    assert err < 1e-8, f"{structure.kind}: {name} off by {err:.2e}"
+
+    def test_fit_matches_the_dense_path(self, monkeypatch):
+        dist = random_distance(4, seed=74, mean_off=4.0)
+        structure = KernelSingleVar(dist)
+        dataset = simulated_dataset(structure, [0.3, 1.0], resid_var=0.5, n=30, seed=75)
+        spectral = fit(dataset, structure, tol=1e-9)
+        monkeypatch.setattr(reml_core, "_is_complete", lambda d: False)
+        dense = fit(dataset, structure, tol=1e-9)
+        assert spectral.converged and dense.converged
+        assert abs(spectral.loglik - dense.loglik) <= 1e-8 * abs(dense.loglik)
+        assert np.allclose(spectral.kappa_hat, dense.kappa_hat, rtol=1e-5)
+        assert np.isclose(spectral.resid_var_hat, dense.resid_var_hat, rtol=1e-5)
+        assert np.allclose(spectral.blup_matrix, dense.blup_matrix, atol=1e-6)
 
 
 class TestPredictCells:
