@@ -6,11 +6,12 @@ weather into environment correlation and distance matrices;
 :mod:`~gxe_reml.variance_structures` parameterizes the environment-side
 covariance Sigma(kappa) and its derivatives;
 :mod:`~gxe_reml.reml_core` fits y = X beta + Z u + eps with
-Var(u) = Sigma kron K by REML and produces BLUPs;
+Var(u) = Sigma kron K by REML, stores the BLUP of every genotype in every
+environment on the fit, and reads cells from it with ``lookup_cells``;
 :mod:`~gxe_reml.simulator` generates ground-truth datasets; and
 :mod:`~gxe_reml.cv` evaluates structures under sparse-testing
-cross-validation.  :mod:`~gxe_reml.cli` exposes everything as the
-``gxe-reml`` command.
+cross-validation, returning one ``CvRow`` per fit.  :mod:`~gxe_reml.cli`
+exposes everything as the ``gxe-reml`` command.
 """
 
 from .env_features import (
@@ -64,7 +65,6 @@ from .reml_core import (
     RelationshipMatrix,
     fit,
     lookup_cells,
-    predict_cells,
     reml_loglik,
     score_and_ai,
 )
@@ -77,9 +77,7 @@ from .simulator import (
 )
 from .cv import (
     CvModel,
-    CvReport,
     CvRow,
-    CvSummary,
     SparseDesign,
     run_cv,
     sparse_split,
@@ -102,11 +100,11 @@ __all__ = [
     "average_kernel", "build_structure", "correlation_from_covariance",
     "gaussian_kernel", "mean_offdiag",
     "CellPrediction", "Dataset", "FitResult", "PhenotypeRecord",
-    "RelationshipMatrix", "fit", "lookup_cells", "predict_cells",
-    "reml_loglik", "score_and_ai",
+    "RelationshipMatrix", "fit", "lookup_cells", "reml_loglik",
+    "score_and_ai",
     "SimConfig", "SimOutput", "kinship_from_markers", "simulate_markers",
     "simulate_met",
-    "CvModel", "CvReport", "CvRow", "CvSummary", "SparseDesign", "run_cv",
-    "sparse_split", "within_env_accuracy",
+    "CvModel", "CvRow", "SparseDesign", "run_cv", "sparse_split",
+    "within_env_accuracy",
     "__version__",
 ]

@@ -405,8 +405,8 @@ def _cmd_fit(args: argparse.Namespace) -> None:
     )
     if not result.converged:
         logger.warning(
-            "fit did not converge in %d iterations; results written anyway",
-            args.max_iter,
+            "fit did not converge (stopped after %d of at most %d iterations); "
+            "results written anyway", result.iterations, args.max_iter,
         )
     gio.write_fit_dir(args.out, result)
     logger.info("fit written to %s (loglik %.6f)", args.out, result.loglik)
@@ -440,16 +440,16 @@ def _cmd_cv(args: argparse.Namespace) -> None:
         seed=args.seed,
     )
     lambdas = _floats(args.lambdas, "--lambdas") if args.lambdas else None
-    report = run_cv(
+    rows = run_cv(
         models, design, sim_config=sim_config, dataset=dataset,
         corr=inputs["corr"], dist=inputs["dist"], lambdas=lambdas,
         max_iter=args.max_iter, tol=args.tol, jobs=args.jobs,
     )
-    gio.write_cv_report(args.out, report.rows)
-    n_failed = sum(1 for r in report.rows if not r.converged)
+    gio.write_cv_report(args.out, rows)
+    n_failed = sum(1 for r in rows if not r.converged)
     logger.info(
         "cv report with %d rows written to %s (%d non-converged)",
-        len(report.rows), args.out, n_failed,
+        len(rows), args.out, n_failed,
     )
 
 

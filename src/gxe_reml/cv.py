@@ -13,6 +13,11 @@ the per-replicate simulation seeds with SeedSequence([sim seed,
 replicate_index]), and the random correlation matrix used for lambda
 blending derives from SeedSequence([seed, replicate_index, 1]) and is
 drawn once per replicate, shared by every blended model in it.
+
+Held-out cells are read from each fit's own BLUP matrix with
+:func:`~gxe_reml.reml_core.lookup_cells`.  :func:`run_cv` returns its
+:class:`CvRow` list in replicate order; aggregating it is left to the
+caller.
 """
 
 from __future__ import annotations
@@ -91,61 +96,6 @@ class CvRow:
     mean_rmse: float
     fit_seconds: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class CvSummary:
-    """Aggregate over the converged replicates of one (model, lambda)."""
-
-    model: str
-    lam: float
-    mean_pearson: float
-    median_pearson: float
-    mean_rmse: float
-    median_rmse: float
-    n_converged: int
-    n_failed: int
-
-
-@dataclass
-class CvReport:
-    """All per-replicate rows of a CV run, with aggregation helpers."""
-
-    rows: list[CvRow]
-
-    def series(self, model: str, lam: float, field: str = "mean_pearson") -> np.ndarray:
-        """Per-replicate metric values for one (model, lambda), in replicate
-        order, converged rows only."""
-        picked = sorted(
-            (r for r in self.rows if r.model == model and r.lam == lam and r.converged),
-            key=lambda r: r.replicate,
-        )
-        return np.array([getattr(r, field) for r in picked])
-
-    def summary(self) -> list[CvSummary]:
-        keys: list[tuple[str, float]] = []
-        for r in self.rows:
-            if (r.model, r.lam) not in keys:
-                keys.append((r.model, r.lam))
-        out = []
-        for model, lam in keys:
-            group = [r for r in self.rows if r.model == model and r.lam == lam]
-            good = [r for r in group if r.converged]
-            pear = np.array([r.mean_pearson for r in good])
-            rmse = np.array([r.mean_rmse for r in good])
-            out.append(
-                CvSummary(
-                    model=model,
-                    lam=lam,
-                    mean_pearson=float(np.nanmean(pear)) if good else math.nan,
-                    median_pearson=float(np.nanmedian(pear)) if good else math.nan,
-                    mean_rmse=float(np.nanmean(rmse)) if good else math.nan,
-                    median_rmse=float(np.nanmedian(rmse)) if good else math.nan,
-                    n_converged=len(good),
-                    n_failed=len(group) - len(good),
-                )
-            )
-        return out
 
 
 def sparse_split(
@@ -364,8 +314,8 @@ def run_cv(
     max_iter: int = 100,
     tol: float = 1e-6,
     jobs: int = 1,
-) -> CvReport:
-    """Run the sparse-testing CV experiment.
+) -> list[CvRow]:
+    """Run the sparse-testing CV experiment: one row per fit.
 
     Exactly one of ``sim_config`` (accuracy target: true genetic values)
     or ``dataset`` (target: held-out values) must be given.  Correlation
@@ -432,5 +382,4 @@ def run_cv(
             per_rep = list(pool.map(_run_replicate, arg_list))
     else:
         per_rep = [_run_replicate(a) for a in arg_list]
-    rows = [row for rep_rows in per_rep for row in rep_rows]
-    return CvReport(rows)
+    return [row for rep_rows in per_rep for row in rep_rows]

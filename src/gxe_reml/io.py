@@ -6,11 +6,11 @@ or its leading columns for weather and targets, which allow more), that
 no column name repeats, each row's cell count and a non-empty body; cells
 are stripped of surrounding whitespace.  Labeled square matrices are such
 a table whose header holds the column labels after an empty corner cell
-and whose rows each start with their label.  Matrices read from disk may
-be asymmetric up to 1e-8 and are symmetrized; anything worse is a data
-error.  All numeric output uses 17 significant digits so cross-run diffs
-are meaningful.  Every parse error names the file, and the row and column
-where there is one.
+and whose rows each start with their own label, none repeated.  Matrices
+read from disk may be asymmetric up to 1e-8 and are symmetrized; anything
+worse is a data error.  All numeric output uses 17 significant digits so
+cross-run diffs are meaningful.  Every parse error names the file, and the
+row and column where there is one.
 """
 
 from __future__ import annotations
@@ -34,6 +34,16 @@ def _fmt(x: float) -> str:
     return FLOAT_FORMAT % x
 
 
+def _repeated(names: Sequence[str]) -> str | None:
+    """The first name in ``names`` that an earlier one already took."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 def _read_table(path, header: Sequence[str],
                 prefix: bool = False) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """The stripped header and ``(row number, cells)`` body rows of a table.
@@ -52,7 +62,7 @@ def _read_table(path, header: Sequence[str],
             f"{path}: expected header{' starting' if prefix else ''} "
             f"'{','.join(header)}', got '{','.join(got)}'"
         )
-    repeated = next((name for i, name in enumerate(got) if name in got[:i]), None)
+    repeated = _repeated(got)
     if repeated is not None:
         raise DataError(f"{path}: column {repeated!r} appears twice in the header")
     body = list(enumerate(rows[1:], start=2))
@@ -86,11 +96,15 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str], list[str]]:
     col_labels = header[1:]
     if not col_labels:
         raise DataError(f"{path}: expected a labeled matrix with a header row")
+    row_labels = [row[0] for _, row in rows]
+    repeated = _repeated(row_labels)
+    if repeated is not None:
+        raise DataError(f"{path}: row label {repeated!r} appears twice")
     values = np.array([
         [_parse_float(cell, path, i, col) for col, cell in zip(col_labels, row[1:])]
         for i, row in rows
     ])
-    return values, [row[0] for _, row in rows], col_labels
+    return values, row_labels, col_labels
 
 
 def write_matrix_csv(path, values: np.ndarray, row_labels: Sequence[str],

@@ -68,8 +68,10 @@ does: NumPy and SciPy each bundle an OpenBLAS, and switching between their
 thread pools left one pool spinning while the other worked.
 
 BLUPs at the fitted parameters are u_hat = (Sigma_hat kron K) Z^T P y,
-computed as the n x p matrix K M Sigma_hat where M scatters P y over
-(genotype, environment) cells.
+computed once per fit as the n x p matrix K M Sigma_hat where M scatters
+P y over (genotype, environment) cells.  That is the one BLUP path:
+``FitResult.blup_matrix`` holds the result and :func:`lookup_cells` reads
+cells from it.
 """
 
 from __future__ import annotations
@@ -786,8 +788,9 @@ def lookup_cells(
     """BLUPs and fitted values for target cells, given the fit's own records.
 
     Reads ``blup_matrix``, ``environment_means()`` and the label lists, so
-    it serves a :class:`FitResult` or a fit read back from disk alike;
-    :func:`predict_cells` conditions on other records.
+    it serves a :class:`FitResult` or a fit read back from disk alike.  Any
+    genotype in the kinship gets a BLUP in every fitted environment, with
+    or without records of its own.
 
     Raises:
         UnknownLabelError: If a target genotype or environment is not in
@@ -804,50 +807,4 @@ def lookup_cells(
             raise UnknownLabelError(f"unknown environment {e!r}")
         blup = float(fit_result.blup_matrix[gen_map[g], env_map[e]])
         out.append(CellPrediction(g, e, blup, float(means[env_map[e]] + blup)))
-    return out
-
-
-def predict_cells(
-    fit_result: FitResult,
-    dataset: Dataset,
-    targets: Sequence[tuple[str, str]],
-) -> list[CellPrediction]:
-    """BLUPs and fitted values for target cells, conditioning on ``dataset``.
-
-    The fitted parameters and fixed effects are frozen at their
-    ``fit_result`` values; the conditional mean of each target's genetic
-    effect is u_hat = Cov(u_t, y) V^-1 (y - X beta_hat) over the records of
-    ``dataset``, any record set sharing the fit's genotype and environment
-    universe.  This factors V once for ``dataset``; on the records the fit
-    was made on it reproduces ``fit_result.blup_matrix``, which
-    :func:`lookup_cells` reads without a factorization.  The fitted value
-    adds the environment mean implied by beta_hat.
-
-    Raises:
-        UnknownLabelError: If a target genotype or environment does not
-            resolve against ``dataset``.
-    """
-    if list(dataset.environment_labels) != list(fit_result.environment_labels):
-        raise InvalidInputError(
-            "dataset environment labels do not match the fitted model"
-        )
-    target_idx = [
-        (dataset.genotype_index(g), dataset.environment_index(e)) for g, e in targets
-    ]
-    sigma_hat = fit_result.structure.sigma(fit_result.kappa_hat)
-    env_means = fit_result.environment_means()
-    if dataset.n_records:
-        env_idx = dataset.env_index_array
-        gen = dataset.gen_index_array
-        k_rec = np.take(dataset.kinship.values[gen], gen, axis=1)
-        chol = _factor_covariance(sigma_hat, fit_result.resid_var_hat, env_idx, k_rec)
-        resid = dataset.values - env_means[env_idx]
-        py = scipy.linalg.cho_solve((chol, True), resid, check_finite=False)
-        u = _cell_blups(dataset, py, sigma_hat)
-    else:
-        u = np.zeros((dataset.n, dataset.p))
-    out = []
-    for (g, e), (gi, ei) in zip(targets, target_idx):
-        blup = float(u[gi, ei])
-        out.append(CellPrediction(g, e, blup, float(env_means[ei] + blup)))
     return out

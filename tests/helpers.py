@@ -8,11 +8,13 @@ they are checking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from gxe_reml import (
+    CvRow,
     Dataset,
     EnvDistanceMatrix,
     EnvFeatureMatrix,
@@ -264,3 +266,52 @@ def gaussian_reference_corr(p: int, seed: int):
     dist = random_distance(p, seed + 17, mean_off=3.0)
     c = gaussian_kernel(dist.values, 0.25)
     return EnvCorrelationMatrix(c, list(dist.labels))
+
+
+@dataclass(frozen=True)
+class CvSummary:
+    """Aggregate over the converged replicates of one (model, lambda)."""
+
+    model: str
+    lam: float
+    mean_pearson: float
+    median_pearson: float
+    mean_rmse: float
+    median_rmse: float
+    n_converged: int
+    n_failed: int
+
+
+def cv_series(rows: list[CvRow], model: str, lam: float,
+              field: str = "mean_pearson") -> np.ndarray:
+    """Per-replicate metric values for one (model, lambda), in replicate
+    order, converged rows only."""
+    picked = sorted(
+        (r for r in rows if r.model == model and r.lam == lam and r.converged),
+        key=lambda r: r.replicate,
+    )
+    return np.array([getattr(r, field) for r in picked])
+
+
+def cv_summary(rows: list[CvRow]) -> list[CvSummary]:
+    """One CvSummary per (model, lambda), in order of first appearance."""
+    keys = list(dict.fromkeys((r.model, r.lam) for r in rows))
+    out = []
+    for model, lam in keys:
+        group = [r for r in rows if r.model == model and r.lam == lam]
+        good = [r for r in group if r.converged]
+        pear = np.array([r.mean_pearson for r in good])
+        rmse = np.array([r.mean_rmse for r in good])
+        out.append(
+            CvSummary(
+                model=model,
+                lam=lam,
+                mean_pearson=float(np.nanmean(pear)) if good else math.nan,
+                median_pearson=float(np.nanmedian(pear)) if good else math.nan,
+                mean_rmse=float(np.nanmean(rmse)) if good else math.nan,
+                median_rmse=float(np.nanmedian(rmse)) if good else math.nan,
+                n_converged=len(good),
+                n_failed=len(group) - len(good),
+            )
+        )
+    return out

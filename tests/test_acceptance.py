@@ -36,6 +36,7 @@ from gxe_reml import (
 
 from helpers import (
     build_design,
+    cv_series,
     fd_gradient,
     gaussian_reference_corr,
     make_dataset,
@@ -232,7 +233,7 @@ def benchmark_report():
 def test_criterion_07_heterogeneous_variance_benefit(benchmark_report):
     rows = {
         (r.model, r.replicate): r
-        for r in benchmark_report.rows
+        for r in benchmark_report
         if r.lam == 0.0 and r.converged
     }
     pairs = [
@@ -261,8 +262,8 @@ def test_criterion_07_heterogeneous_variance_benefit(benchmark_report):
 
 
 def test_criterion_08_noise_blending_degrades_accuracy(benchmark_report):
-    clean = benchmark_report.series("cor1", 0.0, "mean_pearson")
-    noisy = benchmark_report.series("cor1", 0.75, "mean_pearson")
+    clean = cv_series(benchmark_report, "cor1", 0.0, "mean_pearson")
+    noisy = cv_series(benchmark_report, "cor1", 0.75, "mean_pearson")
     ok = (
         len(clean) >= 95
         and len(noisy) >= 95

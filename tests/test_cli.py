@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from gxe_reml import Dataset, build_structure
+from gxe_reml import Dataset, build_structure, reml_core
 from gxe_reml import io as gio
 from gxe_reml.cli import _build_parser, main
 
@@ -267,6 +267,26 @@ class TestFitCommand:
         )
         want = contrast_reml(dataset, sigma, float(params_value(fit_dir, "resid_var")))
         assert abs(float(params_value(fit_dir, "loglik")) - want) <= 1e-8 * abs(want)
+
+    def test_stalled_fit_logs_its_iteration_count(self, tmp_path, workspace,
+                                                  monkeypatch, caplog):
+        # Every step descends, so every halving fails and the fit stops
+        # unconverged at iteration 0, far short of --max-iter.
+        monkeypatch.setattr(
+            reml_core, "_newton_step",
+            lambda ai, corr, grad: -grad / np.max(np.abs(grad)),
+        )
+        with caplog.at_level("WARNING"):
+            rc = main([
+                "fit", "--phenotypes", str(workspace["sim"] / "phenotypes.csv"),
+                "--kinship", str(workspace["sim"] / "kinship.csv"),
+                "--structure", "cor1", "--corr", str(workspace["corr"]),
+                "--max-iter", "50", "--out", str(tmp_path / "out"),
+            ])
+        assert rc == 0
+        (message,) = [r.getMessage() for r in caplog.records
+                      if "did not converge" in r.getMessage()]
+        assert "after 0 of at most 50 iterations" in message
 
     def test_malformed_phenotype_value(self, tmp_path, workspace, capsys):
         bad = tmp_path / "bad.csv"

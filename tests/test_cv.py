@@ -21,7 +21,14 @@ from gxe_reml import (
     within_env_accuracy,
 )
 
-from helpers import gaussian_reference_corr, make_dataset, random_distance, random_kinship
+from helpers import (
+    cv_series,
+    cv_summary,
+    gaussian_reference_corr,
+    make_dataset,
+    random_distance,
+    random_kinship,
+)
 
 
 def design(n_checks=5, envs_per_variety=2, replicates=1, seed=0):
@@ -210,7 +217,7 @@ def strip(report):
     """Every row field but the timing."""
     return [
         (r.model, r.replicate, r.lam, r.mean_pearson, r.mean_rmse, r.converged)
-        for r in report.rows
+        for r in report
     ]
 
 
@@ -222,15 +229,15 @@ class TestRunCv:
             sim_config=tiny_sim_config(seed=31),
             lambdas=[0.0, 0.5],
         )
-        key = Counter((r.model, r.lam) for r in report.rows)
+        key = Counter((r.model, r.lam) for r in report)
         assert key == {
             ("cor1", 0.0): 2,
             ("cor1", 0.5): 2,
             ("main", 0.0): 2,
         }, "correlation models fan out over lambda, others record lambda 0"
-        assert all(np.isfinite(r.mean_rmse) for r in report.rows if r.converged)
-        assert all(r.fit_seconds >= 0.0 for r in report.rows)
-        summary = {(s.model, s.lam): s for s in report.summary()}
+        assert all(np.isfinite(r.mean_rmse) for r in report if r.converged)
+        assert all(r.fit_seconds >= 0.0 for r in report)
+        summary = {(s.model, s.lam): s for s in cv_summary(report)}
         assert set(summary) == set(key)
         for s in summary.values():
             assert s.n_converged + s.n_failed == 2
@@ -263,7 +270,7 @@ class TestRunCv:
         )
         in_order = run_cv(**kwargs, corr=corr)
         assert strip(run_cv(**kwargs, corr=reversed_corr)) == strip(in_order)
-        assert len(in_order.rows) == 4
+        assert len(in_order) == 4
 
     def test_covariance_factored_only_inside_fit(self, monkeypatch):
         inside_fit = []
@@ -290,7 +297,7 @@ class TestRunCv:
             sim_config=tiny_sim_config(seed=36),
             jobs=1,
         )
-        assert len(report.rows) == 4
+        assert len(report) == 4
         assert factored_inside and all(factored_inside), \
             "scoring held-out cells must reuse the fit's BLUPs, not refactor V"
 
@@ -300,10 +307,10 @@ class TestRunCv:
             design(2, 1, replicates=3, seed=34),
             sim_config=tiny_sim_config(seed=35),
         )
-        series = report.series("cor1", 0.0)
+        series = cv_series(report, "cor1", 0.0)
         by_hand = [
             r.mean_pearson
-            for r in sorted(report.rows, key=lambda r: r.replicate)
+            for r in sorted(report, key=lambda r: r.replicate)
             if r.converged
         ]
         assert series.tolist() == by_hand
@@ -315,8 +322,8 @@ class TestRunCv:
             design(2, 1, replicates=2, seed=37),
             dataset=dataset,
         )
-        assert len(report.rows) == 2
-        assert all(np.isfinite(r.mean_rmse) for r in report.rows)
+        assert len(report) == 2
+        assert all(np.isfinite(r.mean_rmse) for r in report)
 
     def test_max_iter_one_counts_as_failed(self):
         report = run_cv(
@@ -325,8 +332,8 @@ class TestRunCv:
             sim_config=tiny_sim_config(seed=39),
             max_iter=1,
         )
-        assert all(not r.converged for r in report.rows)
-        (summary,) = report.summary()
+        assert all(not r.converged for r in report)
+        (summary,) = cv_summary(report)
         assert summary.n_converged == 0 and summary.n_failed == 2
         assert math.isnan(summary.mean_pearson) and math.isnan(summary.mean_rmse)
 
@@ -339,7 +346,7 @@ class TestRunCv:
             design(2, 1, replicates=1, seed=40),
             sim_config=tiny_sim_config(seed=41),
         )
-        assert report.rows[0].converged
+        assert report[0].converged
 
     def test_kernel_averaging_truth_supplies_distances(self):
         # Like kern1 and kernP, a ka truth lends its distances to the kernel
@@ -351,7 +358,7 @@ class TestRunCv:
         )
         report = run_cv(["kern1", "ka"], design(2, 1, replicates=1, seed=49),
                         sim_config=config)
-        assert [r.model for r in report.rows] == ["kern1", "ka"]
+        assert [r.model for r in report] == ["kern1", "ka"]
 
     def test_kernel_model_needs_distances(self):
         with pytest.raises(InvalidInputError, match="dist"):

@@ -297,6 +297,10 @@ class TestReaderErrors:
         path = write_text(tmp_path / "m.csv", ",a,a", "a,1,0", "b,0,1")
         self.raises(gio.read_matrix_csv, path, "'a'", "twice")
 
+    def test_matrix_duplicate_row_label(self, tmp_path):
+        path = write_text(tmp_path / "m.csv", ",a,b", "x,1,2", "x,3,4")
+        self.raises(gio.read_matrix_csv, path, "row label 'x'", "twice")
+
     def test_matrix_without_rows(self, tmp_path):
         path = write_text(tmp_path / "m.csv", ",a,b")
         self.raises(gio.read_matrix_csv, path)

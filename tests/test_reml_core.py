@@ -17,7 +17,6 @@ from gxe_reml import (
     DesignError,
     DiagonalVariance,
     EnvCorrelationMatrix,
-    FitResult,
     InvalidInputError,
     KernelSingleVar,
     MainEffect,
@@ -30,7 +29,6 @@ from gxe_reml import (
     fit,
     gaussian_kernel,
     lookup_cells,
-    predict_cells,
     reml_loglik,
     score_and_ai,
     simulate_met,
@@ -652,6 +650,14 @@ class TestSpectralPath:
 
 
 class TestPredictCells:
+    @staticmethod
+    def oracle_blups(result, dataset):
+        """Dense conditional means of every cell at the fitted parameters."""
+        sigma = result.structure.sigma(result.kappa_hat)
+        return dense_cell_blups(
+            dataset, sigma, result.resid_var_hat, result.environment_means()
+        )
+
     def test_in_sample_matches_fit_blups(self):
         corr = gaussian_reference_corr(3, seed=43)
         dataset = simulated_dataset(
@@ -659,11 +665,12 @@ class TestPredictCells:
         )
         result = fit(dataset, CorrSingleVar(corr))
         targets = [(r.genotype, r.environment) for r in dataset.records]
-        preds = predict_cells(result, dataset, targets)
+        preds = lookup_cells(result, targets)
+        dense_u = self.oracle_blups(result, dataset)
         for pred, rec in zip(preds, dataset.records):
             gi = dataset.genotype_index(rec.genotype)
             ei = dataset.environment_index(rec.environment)
-            assert np.isclose(pred.blup, result.blup_matrix[gi, ei], atol=1e-10)
+            assert np.isclose(pred.blup, dense_u[ei * dataset.n + gi], atol=1e-10)
 
         # On the training records of a sparse fit, the lookup into the fit's
         # BLUP matrix equals conditioning on those records, for every cell.
@@ -671,11 +678,14 @@ class TestPredictCells:
         result = fit(train, CorrSingleVar(corr))
         cells = [(g, e) for e in train.environment_labels for g in train.genotype_labels]
         looked_up = lookup_cells(result, cells)
-        conditioned = predict_cells(result, train, cells)
+        conditioned = self.oracle_blups(result, train)
+        means = result.environment_means()
         assert [(c.genotype, c.environment) for c in looked_up] == cells
-        for got, want in zip(looked_up, conditioned):
-            assert abs(got.blup - want.blup) < 1e-10
-            assert abs(got.fitted - want.fitted) < 1e-10
+        for idx, got in enumerate(looked_up):
+            want = conditioned[idx]
+            ei = train.environment_index(got.environment)
+            assert abs(got.blup - want) < 1e-10
+            assert abs(got.fitted - (means[ei] + want)) < 1e-10
 
     def test_lookup_rejects_unknown_labels(self):
         dataset = make_dataset(4, 2, seed=51)
@@ -690,90 +700,14 @@ class TestPredictCells:
         dataset = make_dataset(3, 2, seed=46, kinship=kin, missing={(2, 1)})
         corr = gaussian_reference_corr(2, seed=47)
         result = fit(dataset, CorrSingleVar(corr))
-        sigma = result.structure.sigma(result.kappa_hat)
-        dense_u = dense_cell_blups(
-            dataset, sigma, result.resid_var_hat, result.environment_means()
-        )
+        dense_u = self.oracle_blups(result, dataset)
         gens = dataset.genotype_labels
         envs = dataset.environment_labels
         targets = [(g, e) for e in envs for g in gens]
-        preds = predict_cells(result, dataset, targets)
+        preds = lookup_cells(result, targets)
         means = result.environment_means()
         for idx, pred in enumerate(preds):
             assert np.isclose(pred.blup, dense_u[idx], atol=1e-8), \
                 f"cell {targets[idx]} disagrees with the partitioned joint normal"
             ei = envs.index(pred.environment)
             assert np.isclose(pred.fitted, means[ei] + dense_u[idx], atol=1e-8)
-
-    def test_vanishing_residual_reproduces_observations(self):
-        kin = random_kinship(6, seed=48)
-        corr = gaussian_reference_corr(3, seed=49)
-        structure = CorrSingleVar(corr)
-        rng = np.random.default_rng(50)
-        chol = np.linalg.cholesky(
-            np.kron(structure.sigma(np.array([1.0])), kin.values)
-            + 1e-10 * np.eye(18)
-        )
-        y = chol @ rng.normal(size=18)
-        dataset = make_dataset(6, 3, seed=51, kinship=kin, y=y)
-        result = FitResult(
-            structure=structure,
-            kappa_hat=np.array([1.0]),
-            resid_var_hat=1e-8,
-            beta_hat=np.zeros(3),
-            loglik_trace=np.zeros(1),
-            ai_matrix=np.eye(2),
-            param_names=structure.param_names() + ["resid_var"],
-            blup_matrix=np.zeros((6, 3)),
-            genotype_labels=list(kin.labels),
-            environment_labels=list(dataset.environment_labels),
-            converged=True,
-            iterations=0,
-            boundary_params=[],
-            fixed_params={},
-        )
-        preds = predict_cells(
-            result, dataset, [(r.genotype, r.environment) for r in dataset.records]
-        )
-        for pred, rec in zip(preds, dataset.records):
-            assert abs(pred.fitted - rec.value) < 1e-3, \
-                "with residual variance near zero, fitted values pin the data"
-
-    def test_diagonal_structure_zeroes_unseen_environment(self):
-        dataset = simulated_dataset(
-            DiagonalVariance(3), [1.0, 2.0, 0.5], resid_var=0.4, n=10, seed=52
-        )
-        result = fit(dataset, DiagonalVariance(3))
-        last_env = dataset.environment_labels[2]
-        keep = [
-            i for i, r in enumerate(dataset.records) if r.environment != last_env
-        ]
-        conditioning = dataset.subset(keep)
-        preds = predict_cells(
-            result,
-            conditioning,
-            [(g, last_env) for g in dataset.genotype_labels],
-        )
-        means = result.environment_means()
-        for pred in preds:
-            assert pred.blup == 0.0, \
-                "no cross-environment covariance and no records mean a zero BLUP"
-            assert pred.fitted == means[2]
-
-    def test_unknown_labels_rejected(self):
-        dataset = make_dataset(3, 2, seed=53)
-        result = fit(dataset, MainEffect(2))
-        with pytest.raises(UnknownLabelError):
-            predict_cells(result, dataset, [("nobody", dataset.environment_labels[0])])
-        with pytest.raises(UnknownLabelError):
-            predict_cells(result, dataset, [(dataset.genotype_labels[0], "nowhere")])
-
-    def test_empty_conditioning_dataset_gives_zeros(self):
-        dataset = simulated_dataset(MainEffect(2), [1.0], resid_var=0.5, n=5, seed=54)
-        result = fit(dataset, MainEffect(2))
-        empty = dataset.subset([])
-        preds = predict_cells(
-            result, empty, [(dataset.genotype_labels[0], dataset.environment_labels[1])]
-        )
-        assert preds[0].blup == 0.0
-        assert preds[0].fitted == result.environment_means()[1]
