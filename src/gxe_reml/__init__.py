@@ -76,7 +76,6 @@ from .simulator import (
     simulate_met,
 )
 from .cv import (
-    CvModel,
     CvRow,
     SparseDesign,
     run_cv,
@@ -104,7 +103,6 @@ __all__ = [
     "score_and_ai",
     "SimConfig", "SimOutput", "kinship_from_markers", "simulate_markers",
     "simulate_met",
-    "CvModel", "CvRow", "SparseDesign", "run_cv", "sparse_split",
-    "within_env_accuracy",
+    "CvRow", "SparseDesign", "run_cv", "sparse_split", "within_env_accuracy",
     "__version__",
 ]

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import io as gio
-from .cv import CvModel, SparseDesign, run_cv
+from .cv import SparseDesign, run_cv
 from .env_features import process_weather
 from .errors import DataError, InvalidInputError, NumericalError, UnknownLabelError
 from .reml_core import Dataset, fit, lookup_cells
@@ -408,6 +408,10 @@ def _cmd_fit(args: argparse.Namespace) -> None:
             "fit did not converge (stopped after %d of at most %d iterations); "
             "results written anyway", result.iterations, args.max_iter,
         )
+    if result.boundary_params:
+        logger.warning(
+            "clamped at lower boundary: %s", ", ".join(result.boundary_params)
+        )
     gio.write_fit_dir(args.out, result)
     logger.info("fit written to %s (loglik %.6f)", args.out, result.loglik)
 
@@ -430,9 +434,6 @@ def _cmd_cv(args: argparse.Namespace) -> None:
         inputs = _structure_inputs(args)
     else:
         dataset, inputs = _read_dataset(args)
-    # build_structure ignores the grid for kinds without one.
-    models = [CvModel(label=k.strip(), kind=k.strip(), grid=inputs["grid"])
-              for k in args.models.split(",")]
     design = SparseDesign(
         n_checks=args.checks,
         envs_per_variety=args.envs_per_variety,
@@ -441,8 +442,8 @@ def _cmd_cv(args: argparse.Namespace) -> None:
     )
     lambdas = _floats(args.lambdas, "--lambdas") if args.lambdas else None
     rows = run_cv(
-        models, design, sim_config=sim_config, dataset=dataset,
-        corr=inputs["corr"], dist=inputs["dist"], lambdas=lambdas,
+        [k.strip() for k in args.models.split(",")], design,
+        sim_config=sim_config, dataset=dataset, **inputs, lambdas=lambdas,
         max_iter=args.max_iter, tol=args.tol, jobs=args.jobs,
     )
     gio.write_cv_report(args.out, rows)

@@ -14,7 +14,11 @@ replicate_index]), and the random correlation matrix used for lambda
 blending derives from SeedSequence([seed, replicate_index, 1]) and is
 drawn once per replicate, shared by every blended model in it.
 
-Held-out cells are read from each fit's own BLUP matrix with
+Models are structure kinds.  :func:`run_cv` builds each one's structure
+once, with :func:`~gxe_reml.variance_structures.build_structure` from one
+set of ``corr``, ``dist`` and ``grid`` inputs, before any replicate runs;
+a replicate builds a structure only for a blended correlation.  Held-out
+cells are read from each fit's own BLUP matrix with
 :func:`~gxe_reml.reml_core.lookup_cells`.  :func:`run_cv` returns its
 :class:`CvRow` list in replicate order; aggregating it is left to the
 caller.
@@ -23,6 +27,7 @@ caller.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import math
 import time
@@ -43,6 +48,7 @@ from .errors import DataError, InvalidInputError, NumericalError
 from .reml_core import Dataset, fit, lookup_cells
 from .simulator import SimConfig, simulate_met
 from .variance_structures import (
+    VarianceStructure,
     build_structure,
     correlation_from_covariance,
     structure_class,
@@ -71,18 +77,6 @@ class SparseDesign:
             raise InvalidInputError(
                 f"replicates must be >= 1, got {self.replicates}"
             )
-
-
-@dataclass(frozen=True)
-class CvModel:
-    """One model entry in a CV run: a structure kind plus options."""
-
-    label: str
-    kind: str
-    grid: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        structure_class(self.kind)
 
 
 @dataclass(frozen=True)
@@ -209,107 +203,87 @@ def within_env_accuracy(
     return mean_pearson, mean_rmse
 
 
-@dataclass(frozen=True)
-class _CvTask:
-    models: tuple[CvModel, ...]
-    design: SparseDesign
-    sim_config: SimConfig | None
-    dataset: Dataset | None
-    corr: EnvCorrelationMatrix | None
-    dist: EnvDistanceMatrix | None
-    lambdas: tuple[float, ...]
-    max_iter: int
-    tol: float
-
-
-def _blend_seed(design: SparseDesign, replicate: int) -> int:
-    return int(np.random.SeedSequence([design.seed, replicate, 1]).generate_state(1)[0])
-
-
-def _run_replicate(args: tuple[_CvTask, int]) -> list[CvRow]:
-    task, rep = args
-    if task.sim_config is not None:
-        base = task.sim_config.seed
+def _run_replicate(
+    rep: int,
+    *,
+    structures: dict[str, VarianceStructure],
+    corr: EnvCorrelationMatrix | None,
+    design: SparseDesign,
+    sim_config: SimConfig | None,
+    dataset: Dataset | None,
+    lambdas: tuple[float, ...],
+    max_iter: int,
+    tol: float,
+) -> list[CvRow]:
+    if sim_config is not None:
+        base = sim_config.seed
         entropy = ([base] if isinstance(base, int) else list(base)) + [rep]
-        out = simulate_met(dataclasses.replace(task.sim_config, seed=entropy))
-        data = out.dataset
-        truth_matrix = out.true_genetic_matrix
+        out = simulate_met(dataclasses.replace(sim_config, seed=entropy))
+        data, truth = out.dataset, out.true_genetic_matrix
     else:
-        data = task.dataset
-        truth_matrix = None
-    train, test_cells = sparse_split(data, task.design, rep)
-    if truth_matrix is not None:
+        data, truth = dataset, None
+    train, test_cells = sparse_split(data, design, rep)
+    if truth is not None:
         target = {
-            (g, e): float(
-                truth_matrix[data.genotype_index(g), data.environment_index(e)]
-            )
+            (g, e): float(truth[data.genotype_index(g), data.environment_index(e)])
             for g, e in test_cells
         }
     else:
-        observed = {
-            (rec.genotype, rec.environment): rec.value for rec in data.records
-        }
+        observed = {(rec.genotype, rec.environment): rec.value for rec in data.records}
         target = {cell: observed[cell] for cell in test_cells}
 
     # Only models built from a correlation matrix are blended toward noise.
-    blended = {m.label for m in task.models if structure_class(m.kind).needs == "corr"}
-    needs_blend = bool(blended) and any(lam > 0.0 for lam in task.lambdas)
-    noise = (
-        random_correlation(
-            data.p, _blend_seed(task.design, rep), labels=data.environment_labels
-        )
-        if needs_blend
-        else None
-    )
+    blended = {kind for kind, s in structures.items() if s.needs == "corr"}
+    noise = None
+    if blended and any(lam > 0.0 for lam in lambdas):
+        seed = int(np.random.SeedSequence([design.seed, rep, 1]).generate_state(1)[0])
+        noise = random_correlation(data.p, seed, labels=data.environment_labels)
     rows: list[CvRow] = []
-    for model in task.models:
-        for lam in task.lambdas if model.label in blended else (0.0,):
-            # The noise is in the dataset's environment order.
-            corr = task.corr if lam == 0.0 else blend_correlation(
-                in_label_order(task.corr, data.environment_labels), noise, lam)
-            structure = build_structure(
-                model.kind, env_labels=train.environment_labels,
-                corr=corr, dist=task.dist, grid=model.grid,
+    for kind, unblended in structures.items():
+        for lam in lambdas if kind in blended else (0.0,):
+            # corr and the noise are both in the dataset's environment order.
+            structure = unblended if lam == 0.0 else build_structure(
+                kind, env_labels=data.environment_labels,
+                corr=blend_correlation(corr, noise, lam),
             )
             started = time.perf_counter()
             try:
-                result = fit(
-                    train, structure, max_iter=task.max_iter, tol=task.tol
-                )
+                result = fit(train, structure, max_iter=max_iter, tol=tol)
             except (NumericalError, DataError) as exc:
                 elapsed = time.perf_counter() - started
                 logger.warning(
                     "replicate %d model %s lambda %g: fit failed: %s",
-                    rep, model.label, lam, exc,
+                    rep, kind, lam, exc,
                 )
-                rows.append(
-                    CvRow(model.label, rep, lam, math.nan, math.nan, elapsed, False)
-                )
+                rows.append(CvRow(kind, rep, lam, math.nan, math.nan, elapsed, False))
                 continue
             elapsed = time.perf_counter() - started
-            preds = lookup_cells(result, test_cells)
-            if truth_matrix is not None:
-                predicted = {(c.genotype, c.environment): c.blup for c in preds}
-            else:
-                predicted = {(c.genotype, c.environment): c.fitted for c in preds}
-            mean_pearson, mean_rmse = within_env_accuracy(predicted, target)
-            rows.append(
-                CvRow(
-                    model.label, rep, lam, mean_pearson, mean_rmse,
-                    elapsed, result.converged,
+            if result.boundary_params:
+                logger.warning(
+                    "replicate %d model %s lambda %g: clamped at lower boundary: %s",
+                    rep, kind, lam, ", ".join(result.boundary_params),
                 )
-            )
+            # Simulations score BLUPs against the truth, real data the
+            # fitted values against the held-out records.
+            predicted = {
+                (c.genotype, c.environment): c.blup if truth is not None else c.fitted
+                for c in lookup_cells(result, test_cells)
+            }
+            mean_pearson, mean_rmse = within_env_accuracy(predicted, target)
+            rows.append(CvRow(kind, rep, lam, mean_pearson, mean_rmse,
+                              elapsed, result.converged))
     return rows
 
 
 def run_cv(
-    models: Sequence[CvModel | str],
+    models: Sequence[str],
     design: SparseDesign,
     *,
     sim_config: SimConfig | None = None,
     dataset: Dataset | None = None,
     corr: EnvCorrelationMatrix | None = None,
     dist: EnvDistanceMatrix | None = None,
+    grid: Sequence[float] | None = None,
     lambdas: Sequence[float] | None = None,
     max_iter: int = 100,
     tol: float = 1e-6,
@@ -318,18 +292,23 @@ def run_cv(
     """Run the sparse-testing CV experiment: one row per fit.
 
     Exactly one of ``sim_config`` (accuracy target: true genetic values)
-    or ``dataset`` (target: held-out values) must be given.  Correlation
-    structures take ``corr`` as their matrix (defaulting, for simulations,
-    to the correlation implied by the truth covariance); kernel structures
-    require ``dist`` (defaulting to the truth structure's distances when it
-    is kernel-based).  ``lambdas`` blends ``corr`` toward a per-replicate
-    random correlation matrix for the correlation-based models; other
-    models record lambda 0.  Individual fit failures are recorded as
-    non-converged rows, never aborting the replicate.
+    or ``dataset`` (target: held-out values) must be given.  Each model is
+    a structure kind, built once with
+    :func:`~gxe_reml.variance_structures.build_structure` from ``corr``,
+    ``dist`` and ``grid`` before any replicate runs, so a missing or bad
+    input fails here.  For simulations ``corr`` defaults to the correlation
+    implied by the truth covariance and ``dist`` to the truth structure's
+    distances when it is kernel-based.  ``lambdas`` blends ``corr`` toward a
+    per-replicate random correlation matrix for the correlation-based
+    models, which are rebuilt for each lambda > 0; other models record
+    lambda 0.  Individual fit failures are recorded as non-converged rows,
+    never aborting the replicate.
 
     Args:
-        models: Structure kinds (strings) or CvModel entries.
+        models: Distinct structure kinds; each row's ``model`` is its kind.
         design: Sparse-testing design, including replicate count and seed.
+        grid: Bandwidth grid for kernel averaging (``ka``); other kinds
+            ignore it.
         jobs: Worker processes; replicate results merge deterministically
             by replicate index regardless.
     """
@@ -337,13 +316,9 @@ def run_cv(
         raise InvalidInputError("give exactly one of sim_config or dataset")
     if not models:
         raise InvalidInputError("at least one model is required")
-    model_list = tuple(
-        m if isinstance(m, CvModel) else CvModel(label=m, kind=m) for m in models
-    )
-    labels = [m.label for m in model_list]
-    if len(set(labels)) != len(labels):
-        raise InvalidInputError("model labels must be unique")
-    needs = {structure_class(m.kind).needs for m in model_list}
+    if len(set(models)) != len(models):
+        raise InvalidInputError("model kinds must be unique")
+    needs = {structure_class(kind).needs for kind in models}
     lam_tuple = (0.0,) if lambdas is None else tuple(float(l) for l in lambdas)
     for lam in lam_tuple:
         if not np.isfinite(lam) or lam < 0.0 or lam > 1.0:
@@ -353,33 +328,32 @@ def run_cv(
         if corr is None and "corr" in needs:
             sigma = sim_config.structure.sigma(sim_config.true_params)
             corr = correlation_from_covariance(sigma, env_labels)
-        if dist is None and "dist" in needs:
-            truth_dist = getattr(sim_config.structure, "dist", None)
-            if truth_dist is None:
-                raise InvalidInputError(
-                    "kernel models need a distance matrix (the truth structure "
-                    "is not kernel-based; pass dist=...)"
-                )
+        truth_dist = getattr(sim_config.structure, "dist", None)
+        if dist is None and truth_dist is not None:
             dist = EnvDistanceMatrix(truth_dist, env_labels)
-    if corr is None and "corr" in needs:
-        raise InvalidInputError("correlation models need corr=...")
-    if dist is None and "dist" in needs:
-        raise InvalidInputError("kernel models need dist=...")
-    task = _CvTask(
-        models=model_list,
+    else:
+        env_labels = dataset.environment_labels
+    structures = {
+        kind: build_structure(
+            kind, env_labels=env_labels, corr=corr, dist=dist, grid=grid
+        )
+        for kind in models
+    }
+    replicate = functools.partial(
+        _run_replicate,
+        structures=structures,
+        corr=in_label_order(corr, env_labels) if "corr" in needs else None,
         design=design,
         sim_config=sim_config,
         dataset=dataset,
-        corr=corr,
-        dist=dist,
         lambdas=lam_tuple,
         max_iter=max_iter,
         tol=tol,
     )
-    arg_list = [(task, rep) for rep in range(design.replicates)]
+    reps = range(design.replicates)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_rep = list(pool.map(_run_replicate, arg_list))
+            per_rep = list(pool.map(replicate, reps))
     else:
-        per_rep = [_run_replicate(a) for a in arg_list]
+        per_rep = [replicate(rep) for rep in reps]
     return [row for rep_rows in per_rep for row in rep_rows]

@@ -323,10 +323,11 @@ def env_distance(features: EnvFeatureMatrix) -> EnvDistanceMatrix:
 def in_label_order(
     matrix: EnvCorrelationMatrix | EnvDistanceMatrix, labels: Sequence[str]
 ) -> EnvCorrelationMatrix | EnvDistanceMatrix:
-    """``matrix`` permuted into the order of ``labels`` when its labels are a
-    permutation of them; otherwise ``matrix`` itself."""
+    """``matrix`` permuted into the order of ``labels``, which its labels
+    must be in some order; InvalidInputError otherwise."""
     if sorted(matrix.labels) != sorted(labels):
-        return matrix
+        raise InvalidInputError(
+            f"matrix labels {matrix.labels} are not the environments {list(labels)}")
     order = [matrix.labels.index(lab) for lab in labels]
     return type(matrix)(matrix.values[np.ix_(order, order)], list(labels))
 

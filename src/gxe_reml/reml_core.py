@@ -76,7 +76,6 @@ cells from it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -92,8 +91,6 @@ from .errors import (
     UnknownLabelError,
 )
 from .variance_structures import VarianceStructure
-
-logger = logging.getLogger(__name__)
 
 _LOG_LOWER_BOUND = -30.0
 _MAX_HALVINGS = 30
@@ -558,6 +555,16 @@ class CellPrediction:
     fitted: float
 
 
+def _point_at(
+    dataset: Dataset, structure: VarianceStructure, kappa: np.ndarray, resid_var: float
+) -> _PointEvaluation | _SpectralPoint:
+    """One point evaluation outside a fit, with its own workspace."""
+    if not np.isfinite(resid_var) or resid_var <= 0.0:
+        raise InvalidInputError(f"resid_var must be positive, got {resid_var}")
+    ws = _RemlWorkspace(dataset, structure)
+    return ws.point(structure.sigma(kappa), resid_var)
+
+
 def reml_loglik(
     dataset: Dataset,
     structure: VarianceStructure,
@@ -573,10 +580,7 @@ def reml_loglik(
             factorization fails; the latter message carries eigenvalue
             diagnostics.
     """
-    if not np.isfinite(resid_var) or resid_var <= 0.0:
-        raise InvalidInputError(f"resid_var must be positive, got {resid_var}")
-    ws = _RemlWorkspace(dataset, structure)
-    return ws.point(structure.sigma(kappa), resid_var).loglik
+    return _point_at(dataset, structure, kappa, resid_var).loglik
 
 
 def score_and_ai(
@@ -591,11 +595,8 @@ def score_and_ai(
     matches central finite differences of :func:`reml_loglik`; the AI matrix
     is symmetric.
     """
-    if not np.isfinite(resid_var) or resid_var <= 0.0:
-        raise InvalidInputError(f"resid_var must be positive, got {resid_var}")
-    ws = _RemlWorkspace(dataset, structure)
-    sigma = structure.evaluate(kappa).sigma
-    grad, ai, _ = ws.point(sigma, resid_var).derivatives(structure, kappa)
+    point = _point_at(dataset, structure, kappa, resid_var)
+    grad, ai, _ = point.derivatives(structure, kappa)
     return grad, ai
 
 
@@ -757,7 +758,6 @@ def fit(
         for name in np.array(param_names)[clamped]:
             if name not in boundary:
                 boundary.append(name)
-                logger.warning("parameter %s clamped at lower boundary", name)
         # The accepted trial already holds the factor at the new point.
         grad, ai, corr = cur.derivatives(structure, params[:k])
         gain = cur.loglik - trace[-1]

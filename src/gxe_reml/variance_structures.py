@@ -455,8 +455,8 @@ def build_structure(
     """Construct a structure by kind tag from the input its class needs.
 
     ``corr`` or ``dist`` when the class needs that matrix; otherwise ``p``
-    or ``env_labels`` (labels win and set p).  A matrix whose labels are
-    ``env_labels`` in another order is permuted into their order, so
+    or ``env_labels`` (labels win and set p).  Given ``env_labels``, the
+    matrix must carry them, in any order, and is permuted into theirs, so
     matrices read in different orders serve one dataset.  Inputs the kind
     does not need are ignored, as is ``grid`` for kinds without a bandwidth
     grid.

@@ -288,6 +288,19 @@ class TestFitCommand:
                       if "did not converge" in r.getMessage()]
         assert "after 0 of at most 50 iterations" in message
 
+    def test_fit_logs_clamped_parameters_once(self, tmp_path, workspace, caplog):
+        # The fixture's fit drives resid_var to its bound (see above).
+        with caplog.at_level("WARNING"):
+            rc = main([
+                "fit", "--phenotypes", str(workspace["sim"] / "phenotypes.csv"),
+                "--kinship", str(workspace["sim"] / "kinship.csv"),
+                "--structure", "cor1", "--corr", str(workspace["corr"]),
+                "--out", str(tmp_path / "out"),
+            ])
+        assert rc == 0
+        assert [r.getMessage() for r in caplog.records if "clamped" in r.getMessage()] \
+            == ["clamped at lower boundary: resid_var"]
+
     def test_malformed_phenotype_value(self, tmp_path, workspace, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("genotype,environment,value\ng1,E0,abc\n")

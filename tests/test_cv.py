@@ -10,7 +10,6 @@ import pytest
 from gxe_reml import cv, reml_core
 from gxe_reml import (
     CorrSingleVar,
-    CvModel,
     EnvCorrelationMatrix,
     InvalidInputError,
     KernelAveraging,
@@ -368,6 +367,60 @@ class TestRunCv:
                 sim_config=tiny_sim_config(seed=43),
             )
 
+    def test_structure_inputs_checked_before_any_replicate(self, monkeypatch):
+        simulated = []
+        real_simulate = cv.simulate_met
+
+        def counting_simulate(config):
+            simulated.append(config)
+            return real_simulate(config)
+
+        monkeypatch.setattr(cv, "simulate_met", counting_simulate)
+        kwargs = dict(
+            design=design(2, 1, replicates=2, seed=50),
+            sim_config=tiny_sim_config(seed=51),
+        )
+        with pytest.raises(InvalidInputError, match="increase"):
+            run_cv(["ka"], **kwargs, dist=random_distance(3, seed=52),
+                   grid=(2.0, 1.0))
+        with pytest.raises(InvalidInputError, match="distance"):
+            run_cv(["main", "kern1"], **kwargs)
+        corr = gaussian_reference_corr(3, seed=53)
+        renamed = EnvCorrelationMatrix(corr.values, ["X", "Y", "Z"])
+        with pytest.raises(InvalidInputError, match="labels"):
+            run_cv(["cor1"], **kwargs, corr=renamed)
+        assert simulated == []
+
+    def test_clamp_warning_names_replicate_model_and_lambda(self, monkeypatch,
+                                                            caplog):
+        # fit only records clamped parameters; the CV loop logs them, once
+        # per fit, with the replicate, model and lambda of that fit.
+        clamped = []
+        real_fit = cv.fit
+
+        def recording_fit(*args, **kwargs):
+            result = real_fit(*args, **kwargs)
+            clamped.append(result.boundary_params)
+            return result
+
+        monkeypatch.setattr(cv, "fit", recording_fit)
+        with caplog.at_level("WARNING", logger="gxe_reml"):
+            report = run_cv(
+                ["diag", "cor1"],
+                design(2, 1, replicates=2, seed=55),
+                sim_config=tiny_sim_config(seed=56),
+                lambdas=[0.0, 0.5],
+            )
+        assert len(clamped) == len(report) == 6
+        expected = [
+            f"replicate {row.replicate} model {row.model} lambda {row.lam:g}: "
+            f"clamped at lower boundary: {', '.join(params)}"
+            for row, params in zip(report, clamped)
+            if params
+        ]
+        assert expected, "this design must drive some parameter to its bound"
+        assert [rec.getMessage() for rec in caplog.records] == expected
+
     def test_input_validation(self):
         d = design(2, 1, replicates=1, seed=44)
         config = tiny_sim_config(seed=45)
@@ -384,5 +437,5 @@ class TestRunCv:
             run_cv(["cor1"], d, sim_config=config, lambdas=[1.5])
         with pytest.raises(InvalidInputError, match="corr"):
             run_cv(["cor1"], d, dataset=dataset)
-        with pytest.raises(InvalidInputError):
-            CvModel(label="x", kind="fancy")
+        with pytest.raises(InvalidInputError, match="fancy"):
+            run_cv(["fancy"], d, sim_config=config)
