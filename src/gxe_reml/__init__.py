@@ -12,6 +12,15 @@ environment on the fit, and reads cells from it with ``lookup_cells``;
 :mod:`~gxe_reml.cv` evaluates structures under sparse-testing
 cross-validation, returning one ``CvRow`` per fit.  :mod:`~gxe_reml.cli`
 exposes everything as the ``gxe-reml`` command.
+
+One BLAS pool: the NumPy and SciPy wheels each bundle an OpenBLAS with its
+own thread pool, and after a threaded call on one, its idle workers spin
+on a core while the other runs.  So every BLAS or LAPACK call on an
+operand with n (genotype) or N (record) rows goes to SciPy
+(``scipy.linalg`` and its ``blas`` / ``lapack`` wrappers): the kinship,
+its factor and eigenvalues, V and its factor, and every product with
+them.  NumPy's ``@`` and ``numpy.linalg`` get only p x p-sized work,
+too small to start its threads.
 """
 
 from .env_features import (

@@ -20,6 +20,7 @@ correlations are tied through D_ij = q * (Chat_ii + Chat_jj - 2 Chat_ij).
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -121,7 +122,13 @@ class EnvFeatureMatrix:
 
 @dataclass
 class EnvCorrelationMatrix:
-    """Symmetric environment correlation estimate with labels."""
+    """Symmetric environment correlation estimate with labels.
+
+    Construction logs a warning when the diagonal deviates from 1 by more
+    than 0.25.  Matrices derived by :func:`in_label_order` and
+    :func:`blend_correlation` skip the checks, so that warning comes once
+    per input matrix.
+    """
 
     values: np.ndarray
     labels: list[str]
@@ -329,7 +336,15 @@ def in_label_order(
         raise InvalidInputError(
             f"matrix labels {matrix.labels} are not the environments {list(labels)}")
     order = [matrix.labels.index(lab) for lab in labels]
-    return type(matrix)(matrix.values[np.ix_(order, order)], list(labels))
+    return _derived(matrix, matrix.values[np.ix_(order, order)], labels)
+
+
+def _derived(matrix, values: np.ndarray, labels: Sequence[str]):
+    """A copy of ``matrix`` holding ``values`` and ``labels`` permuted or
+    blended from checked matrices, without checking them again."""
+    out = copy.copy(matrix)
+    out.values, out.labels = values, list(labels)
+    return out
 
 
 def blend_correlation(
@@ -356,7 +371,7 @@ def blend_correlation(
     d = np.diag(out).copy()
     d[unit] = 1.0
     np.fill_diagonal(out, d)
-    return EnvCorrelationMatrix(out, list(corr.labels))
+    return _derived(corr, out, corr.labels)
 
 
 def random_correlation(p: int, seed: int, labels: Sequence[str] | None = None) -> EnvCorrelationMatrix:

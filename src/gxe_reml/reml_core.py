@@ -63,9 +63,8 @@ Two point evaluators do this behind one interface (``loglik``, ``beta``,
   cancellation in log|V| + log|X^T V^-1 X| + y^T P y as resid_var -> 0
   when K 1 = 0 (a centred kinship).
 
-Products with an N-sized operand run on SciPy's BLAS, as the factorization
-does: NumPy and SciPy each bundle an OpenBLAS, and switching between their
-thread pools left one pool spinning while the other worked.
+Products and factorizations with an N-sized operand run on SciPy's BLAS
+and LAPACK, by the package's one-pool rule (:mod:`gxe_reml`).
 
 BLUPs at the fitted parameters are u_hat = (Sigma_hat kron K) Z^T P y,
 computed once per fit as the n x p matrix K M Sigma_hat where M scatters
@@ -135,7 +134,7 @@ class RelationshipMatrix:
                 f"relationship matrix is asymmetric beyond tolerance (max gap {gap:.3e})"
             )
         values = 0.5 * (values + values.T)
-        eigs = np.linalg.eigvalsh(values)
+        eigs = scipy.linalg.eigvalsh(values, driver="evd", check_finite=False)
         if eigs[0] < -1e-8 * max(float(eigs[-1]), 1e-300):
             raise DataError(
                 f"relationship matrix is not positive semidefinite "
@@ -258,7 +257,7 @@ def _design_x(dataset: Dataset) -> np.ndarray:
 
 def _condition_diagnostics(v: np.ndarray) -> str:
     try:
-        eigs = np.linalg.eigvalsh(v)
+        eigs = scipy.linalg.eigvalsh(v, driver="evd")
         return f"min eigenvalue {eigs[0]:.3e}, max eigenvalue {eigs[-1]:.3e}"
     except Exception:  # pragma: no cover - diagnostics best effort
         return "eigenvalue diagnostics unavailable"
@@ -515,6 +514,9 @@ class _RemlWorkspace:
 class FitResult:
     """Converged (or flagged) REML fit.
 
+    ``termination`` says why the fit stopped: ``"tol"`` (gain and Newton
+    decrement below ``tol``), ``"stalled"`` (every halving of a step
+    failed) or ``"max_iter"``.  Only ``"tol"`` counts as ``converged``.
     ``blup_matrix`` is n x p: row i is ``genotype_labels[i]``, column j is
     ``environment_labels[j]``.  :func:`lookup_cells` reads cells from it.
     """
@@ -529,7 +531,7 @@ class FitResult:
     blup_matrix: np.ndarray
     genotype_labels: list[str]
     environment_labels: list[str]
-    converged: bool
+    termination: str
     iterations: int
     boundary_params: list[str] = field(default_factory=list)
     fixed_params: dict[int, float] = field(default_factory=dict)
@@ -537,6 +539,10 @@ class FitResult:
     @property
     def loglik(self) -> float:
         return float(self.loglik_trace[-1])
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "tol"
 
     def environment_means(self) -> np.ndarray:
         """Per-environment fitted means implied by beta_hat."""
@@ -635,8 +641,9 @@ def fit(
     parameters), AI o kappa kappa^T and that AI ridged, else follows the
     gradient.  Convergence is declared when the last accepted gain and the
     Newton decrement g^T M^-1 g of the unclipped step both fall below
-    ``tol``.  A step whose every halving fails, and exceeding ``max_iter``,
-    end the fit with ``converged=False``.
+    ``tol`` (``termination="tol"``).  A step whose every halving fails
+    (``"stalled"``), and exceeding ``max_iter`` (``"max_iter"``), end the
+    fit with ``converged=False``.
 
     Each accepted step costs one Cholesky factorization, since the accepted
     trial point is reused for the derivatives, plus one per rejected
@@ -709,7 +716,7 @@ def fit(
     grad, ai, corr = cur.derivatives(structure, params[:k])
     trace = [cur.loglik]
     boundary: list[str] = []
-    converged = False
+    termination = "max_iter"
     iterations = 0
     gain = np.inf
 
@@ -731,7 +738,7 @@ def fit(
                 clipped = full * (5.0 / np.max(np.abs(full)))
             step[moving] = clipped
         if gain < tol and decrement < tol:
-            converged = True
+            termination = "tol"
             break
         if iterations == max_iter:
             break
@@ -752,7 +759,8 @@ def fit(
                 accepted = (eta_new, params_new, clamped, trial)
                 break
         if accepted is None:
-            # Every halving failed: stalled, not shown to be stationary.
+            # Every halving failed: not shown to be stationary.
+            termination = "stalled"
             break
         eta, params, clamped, cur = accepted
         for name in np.array(param_names)[clamped]:
@@ -775,7 +783,7 @@ def fit(
         blup_matrix=_cell_blups(dataset, cur.py, cur.sigma),
         genotype_labels=list(dataset.genotype_labels),
         environment_labels=list(dataset.environment_labels),
-        converged=converged,
+        termination=termination,
         iterations=iterations,
         boundary_params=boundary,
         fixed_params=fixed,

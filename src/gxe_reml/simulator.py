@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from .errors import InvalidInputError, NumericalError
 from .reml_core import Dataset, PhenotypeRecord, RelationshipMatrix
@@ -131,20 +133,16 @@ def kinship_from_markers(
     f = freqs[poly]
     w = markers[:, poly] - 2.0 * f
     c = 2.0 * float(np.sum(f * (1.0 - f)))
-    k = w @ w.T / c
-    k = 0.5 * (k + k.T)
+    # syrk fills the lower triangle of W W^T; mirror it exactly.
+    low = np.tril(blas.dsyrk(1.0, w.T, trans=1, lower=1))
+    k = (low + np.tril(low, -1).T) / c
     if labels is None:
         labels = [f"G{i + 1:04d}" for i in range(markers.shape[0])]
     return RelationshipMatrix(k, list(labels))
 
 
-def _psd_factor(mat: np.ndarray, what: str) -> np.ndarray:
-    """A factor L with L L^T = mat, tolerating PSD-boundary matrices."""
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        pass
-    eigs, vecs = np.linalg.eigh(mat)
+def _root_from_eigh(eigs: np.ndarray, vecs: np.ndarray, what: str) -> np.ndarray:
+    """A factor L with L L^T = V diag(eigs) V^T, negative round-off set to 0."""
     floor = -1e-8 * max(float(eigs[-1]), 1e-300)
     if eigs[0] < floor:
         raise NumericalError(
@@ -152,6 +150,27 @@ def _psd_factor(mat: np.ndarray, what: str) -> np.ndarray:
             f"(min eigenvalue {eigs[0]:.3e}); cannot factor degenerate truth"
         )
     return vecs * np.sqrt(np.clip(eigs, 0.0, None))
+
+
+def _psd_factor(mat: np.ndarray, what: str) -> np.ndarray:
+    """A factor L with L L^T = mat for a p x p ``mat``, tolerating
+    PSD-boundary matrices."""
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        pass
+    return _root_from_eigh(*np.linalg.eigh(mat), what)
+
+
+def _kinship_factor(kin: np.ndarray) -> np.ndarray:
+    """As :func:`_psd_factor`, for the n x n kinship on SciPy's LAPACK
+    (the package's one-pool rule)."""
+    chol, info = lapack.dpotrf(kin, lower=1)
+    if info == 0:
+        return chol
+    return _root_from_eigh(
+        *scipy.linalg.eigh(kin, driver="evd", check_finite=False), "kinship"
+    )
 
 
 def simulate_met(config: SimConfig) -> SimOutput:
@@ -178,10 +197,11 @@ def simulate_met(config: SimConfig) -> SimOutput:
         l_sigma = np.zeros((p, p))
     else:
         l_sigma = _psd_factor(sigma, "truth covariance")
-    l_k = _psd_factor(kinship.values, "kinship")
+    l_k = _kinship_factor(kinship.values)
     rng = np.random.default_rng(draw_seed)
     z = rng.standard_normal((config.n_genotypes, p))
-    u = l_k @ z @ l_sigma.T
+    # L_K Z as (Z^T L_K^T)^T, the product NumPy's row-major matmul forms.
+    u = blas.dgemm(1.0, z.T, l_k.T).T @ l_sigma.T
     eps = rng.standard_normal((config.n_genotypes, p)) * np.sqrt(config.resid_var)
     y = env_means[None, :] + u + eps
     env_labels = config.environment_labels

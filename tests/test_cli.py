@@ -617,14 +617,14 @@ class TestCvCommand:
 
 class TestEnvProcessCommand:
     @staticmethod
-    def write_weather(path):
-        rain = {
-            "EA": [1, 1, 1, 5, 5, 5, 5, 9],
-            "EB": [2, 2, 2, 1, 1, 1, 1, 9],
-            "EC": [4, 4, 4, 8, 8, 8, 8, 9],
-        }
+    def write_weather(path, labels=("EA", "EB", "EC")):
+        rain = (
+            [1, 1, 1, 5, 5, 5, 5, 9],
+            [2, 2, 2, 1, 1, 1, 1, 9],
+            [4, 4, 4, 8, 8, 8, 8, 9],
+        )
         lines = ["environment,day,t_min,t_max,rain"]
-        for env, values in rain.items():
+        for env, values in zip(labels, rain):
             for day, value in enumerate(values, start=1):
                 lines.append(f"{env},{day},60,80,{value}")
         path.write_text("\n".join(lines) + "\n")
@@ -677,6 +677,33 @@ class TestEnvProcessCommand:
             "--out-dist", str(tmp_path / "d.csv"),
         ])
         assert rc == 2, "a heat-unit bin with no days is a data error"
+
+    def test_cv_warns_once_about_the_correlation_diagonal(self, tmp_path, caplog):
+        weather = tmp_path / "weather.csv"
+        self.write_weather(weather, labels=("E01", "E02", "E03"))
+        corr_path = tmp_path / "env_corr.csv"
+        assert main([
+            "env-process", "--weather", str(weather), "--variables", "rain",
+            "--interval", "80", "--window", "0:160",
+            "--out-corr", str(corr_path), "--out-dist", str(tmp_path / "d.csv"),
+        ]) == 0
+        cfg = tmp_path / "truth.cfg"
+        cfg.write_text(
+            "structure = main\np_environments = 3\nn_genotypes = 20\n"
+            "n_markers = 80\nparams = 1.0\nresid_var = 0.5\nseed = 3\n"
+        )
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            rc = main([
+                "cv", "--sim-config", str(cfg), "--models", "main,cor1",
+                "--corr", str(corr_path), "--lambdas", "0,0.5,0.9",
+                "--checks", "2", "--envs-per-variety", "1",
+                "--replicates", "3", "--out", str(tmp_path / "r.csv"),
+            ])
+        assert rc == 0
+        warned = [r for r in caplog.records if "deviates from 1" in r.getMessage()]
+        assert len(warned) == 1, \
+            "one input matrix, one warning, whatever the replicates and lambdas"
 
     def test_unknown_variable(self, tmp_path, capsys):
         weather = tmp_path / "weather.csv"

@@ -248,7 +248,7 @@ class TestScoreAndAi:
             MainEffect(3), [1.0], resid_var=0.5, n=25, seed=20
         )
         result = fit(dataset, MainEffect(3), tol=1e-9)
-        assert result.converged
+        assert result.converged and result.termination == "tol"
         grad, _ = score_and_ai(
             dataset, MainEffect(3), result.kappa_hat, result.resid_var_hat
         )
@@ -381,7 +381,7 @@ class TestFit:
         result = fit(
             dataset, KernelSingleVar(dist), init=np.array([5.0, 50.0]), max_iter=1
         )
-        assert not result.converged
+        assert not result.converged and result.termination == "max_iter"
         assert result.iterations == 1
 
     def test_one_factorization_per_accepted_step(self, monkeypatch):
@@ -454,7 +454,7 @@ class TestFit:
             lambda ai, corr, grad: -grad / np.max(np.abs(grad)),
         )
         result = fit(dataset, MainEffect(3))
-        assert result.converged is False
+        assert result.converged is False and result.termination == "stalled"
         assert result.iterations == 0 and len(result.loglik_trace) == 1
 
     def test_frozen_bandwidth_matches_fixed_correlation(self):

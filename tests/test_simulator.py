@@ -11,6 +11,7 @@ from gxe_reml import (
     CorrSingleVar,
     InvalidInputError,
     MainEffect,
+    RelationshipMatrix,
     SimConfig,
     kinship_from_markers,
     simulate_markers,
@@ -67,6 +68,14 @@ class TestKinshipFromMarkers:
     def test_symmetric(self):
         k = kinship_from_markers(simulate_markers(30, 300, 4)).values
         assert np.max(np.abs(k - k.T)) < 1e-12
+
+    def test_matches_centred_cross_product(self):
+        markers = simulate_markers(30, 300, 30).astype(float)
+        f = markers.mean(axis=0) / 2.0
+        w = markers - 2.0 * f
+        expected = w @ w.T / (2.0 * np.sum(f * (1.0 - f)))
+        k = kinship_from_markers(markers).values
+        assert np.max(np.abs(k - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_mean_diagonal_near_one(self):
         k = kinship_from_markers(simulate_markers(200, 5000, 5)).values
@@ -235,3 +244,34 @@ class TestSimulateMet:
         corr = gaussian_reference_corr(2, seed=26)
         with pytest.raises(InvalidInputError):
             base_config(CorrSingleVar(corr), [1.0], -0.5)
+
+
+class TestOneBlasPool:
+    """Matrices with n rows reach SciPy's LAPACK, never NumPy's, whose
+    thread pool would otherwise wake beside SciPy's (package docstring)."""
+
+    N = 40
+
+    @pytest.fixture()
+    def numpy_linalg_shapes(self, monkeypatch):
+        shapes = []
+        for name in ("cholesky", "eigh", "eigvalsh"):
+            def spy(a, *args, _original=getattr(np.linalg, name), **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        return shapes
+
+    def test_simulate_met(self, numpy_linalg_shapes):
+        corr = gaussian_reference_corr(3, seed=27)
+        config = base_config(CorrSingleVar(corr), [1.0], 0.5, n=self.N, seed=28)
+        assert config.kinship is None, "markers mode: the kinship is simulated"
+        simulate_met(config)
+        assert (3, 3) in numpy_linalg_shapes, "the p x p truth stays on NumPy"
+        assert not [s for s in numpy_linalg_shapes if self.N in s]
+
+    def test_relationship_matrix(self, numpy_linalg_shapes):
+        kin = kinship_from_markers(simulate_markers(self.N, 4 * self.N, 29))
+        RelationshipMatrix(kin.values, kin.labels)
+        assert not [s for s in numpy_linalg_shapes if self.N in s]
