@@ -48,9 +48,10 @@ at the start, once per accepted step and once per rejected step halving.
 Two point evaluators do this behind one interface (``loglik``, ``beta``,
 ``py``, ``sigma``, ``derivatives``), chosen once per dataset:
 
-* ``_PointEvaluation`` serves any record set.  It factors the N x N V;
-  potri turns the factor into the lower triangle of P in place, and only
-  that triangle is read.
+* ``_PointEvaluation`` serves any record set.  potrf factors the N x N V
+  in the buffer it was assembled in, with no copy, and one potrs solves
+  for [y X].  potri turns the factor into the lower triangle of P in
+  place, and only that triangle is read.
 * ``_SpectralPoint`` serves complete trials, where every genotype is
   observed once in every environment.  With C an orthonormal complement
   of 1_n (one Householder reflector) and C^T K C = U D U^T decomposed once,
@@ -263,26 +264,40 @@ def _condition_diagnostics(v: np.ndarray) -> str:
         return "eigenvalue diagnostics unavailable"
 
 
-def _factor_covariance(
+def _assemble_covariance(
     sigma: np.ndarray, resid_var: float, env_idx: np.ndarray, k_rec: np.ndarray
 ) -> np.ndarray:
-    """Lower Cholesky factor of V_rs = Sigma[e_r, e_s] K_rs + resid_var [r == s].
-
-    ``k_rec`` is K[g_r, g_s].  Only Sigma and diag(V) are checked for
-    finiteness: an off-diagonal overflow leaves V indefinite, which the
-    factorization reports.  Failures raise NumericalError.
-    """
+    """V_rs = Sigma[e_r, e_s] K_rs + resid_var [r == s], C-ordered;
+    ``k_rec`` is K[g_r, g_s]."""
     v = np.take(sigma[env_idx], env_idx, axis=1)
     v *= k_rec
     v.flat[:: len(env_idx) + 1] += resid_var
+    return v
+
+
+def _factor_covariance(
+    sigma: np.ndarray, resid_var: float, env_idx: np.ndarray, k_rec: np.ndarray
+) -> np.ndarray:
+    """Lower Cholesky factor of V, in place on V's own buffer.
+
+    V is exactly symmetric, so its C-ordered buffer is V in Fortran order
+    too, and potrf factors it without a copy; ``clean`` zeroes the strict
+    upper triangle.  Only Sigma and diag(V) are checked for finiteness: an
+    off-diagonal overflow leaves V indefinite, which the factorization
+    reports.  Failures raise NumericalError; as potrf has consumed V, the
+    eigenvalue diagnostics rebuild it.
+    """
+    v = _assemble_covariance(sigma, resid_var, env_idx, k_rec)
     if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(v.diagonal()))):
         raise NumericalError("covariance matrix is not finite")
-    try:
-        return scipy.linalg.cholesky(v, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    chol, info = lapack.dpotrf(v.T, lower=1, overwrite_a=1, clean=1)
+    if info != 0:
+        v = _assemble_covariance(sigma, resid_var, env_idx, k_rec)
         raise NumericalError(
-            f"covariance factorization failed: {exc} ({_condition_diagnostics(v)})"
-        ) from None
+            f"covariance factorization failed (potrf info {info}; "
+            f"{_condition_diagnostics(v)})"
+        )
+    return chol
 
 
 def _chol_inverse(chol_lower: np.ndarray, downdate: np.ndarray) -> np.ndarray:
@@ -290,7 +305,7 @@ def _chol_inverse(chol_lower: np.ndarray, downdate: np.ndarray) -> np.ndarray:
 
     LAPACK potri writes the lower triangle of V^-1 over ``chol_lower``
     (consuming the factor) and syrk subtracts D^T D from it; the strict
-    upper triangle keeps the zeros ``scipy.linalg.cholesky`` left there.
+    upper triangle keeps the zeros that potrf's ``clean`` left there.
     """
     inv, info = lapack.dpotri(chol_lower, lower=1, overwrite_c=1)
     if info != 0:
@@ -315,9 +330,11 @@ class _PointEvaluation:
         self.sigma = sigma
         self.chol = chol = _factor_covariance(sigma, resid_var, ws.env_idx, ws.k_rec)
         logdet_v = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        vi_y = scipy.linalg.cho_solve((chol, True), ws.y, check_finite=False)
-        vi_x = scipy.linalg.cho_solve((chol, True), ws.x, check_finite=False)
-        a = ws.x.T @ vi_x
+        # V^-1 [y X] in one solve; X^T V^-1 [y X] in one product.
+        vi_yx, _ = lapack.dpotrs(chol, ws.yx, lower=1)
+        vi_y, vi_x = vi_yx[:, 0], vi_yx[:, 1:]
+        xt_vi_yx = blas.dgemm(1.0, ws.x, vi_yx, trans_a=1)
+        a = xt_vi_yx[:, 1:]
         a = 0.5 * (a + a.T)
         try:
             chol_a = np.linalg.cholesky(a)
@@ -327,13 +344,13 @@ class _PointEvaluation:
                 f"({_condition_diagnostics(a)})"
             ) from None
         logdet_a = 2.0 * float(np.sum(np.log(np.diag(chol_a))))
-        beta = scipy.linalg.cho_solve((chol_a, True), ws.x.T @ vi_y, check_finite=False)
-        py = vi_y - vi_x @ beta
+        beta = scipy.linalg.cho_solve((chol_a, True), xt_vi_yx[:, 0], check_finite=False)
+        py = blas.dgemv(-1.0, vi_x, beta, beta=1.0, y=vi_y)
         self.vi_x = vi_x
         self.chol_a = chol_a
         self.beta = beta
         self.py = py
-        self.loglik = -0.5 * (logdet_v + logdet_a + float(ws.y @ py))
+        self.loglik = -0.5 * (logdet_v + logdet_a + blas.ddot(ws.y, py))
         if not np.isfinite(self.loglik):
             raise NumericalError("restricted log-likelihood is not finite")
 
@@ -448,9 +465,12 @@ class _SpectralPoint:
         derivs = structure.evaluate(kappa).derivs
         b_inv = np.matmul(self.inv_chol.transpose(0, 2, 1), self.inv_chol)
         dr = r * d[:, None]
-        t_q = np.tensordot(d, b_inv, axes=1) - dr.T @ r
+        # sum_i d_i B_i^-1 as a gemv over the flattened blocks, less dr^T r.
+        p = len(self.sigma)
+        t_q = blas.dgemv(1.0, b_inv.reshape(len(d), p * p).T, d).reshape(p, p)
+        t_q = blas.dgemm(-1.0, dr, r, beta=1.0, c=t_q, trans_a=1)
         t_q = 0.5 * (t_q + t_q.T)
-        w = np.array([dr @ ds for ds in derivs] + [r])
+        w = np.array([blas.dgemm(1.0, dr, ds) for ds in derivs] + [r])
         bw = np.einsum("ijk,aik->aij", b_inv, w)
         ai = 0.5 * np.einsum("aij,bij->ab", w, bw)
         tr_p = float(np.trace(b_inv, axis1=1, axis2=2).sum())
@@ -500,7 +520,9 @@ class _RemlWorkspace:
             self.logdet_xx = dataset.p * np.log(dataset.n)
         else:
             self._evaluate = _PointEvaluation
-            self.x = _design_x(dataset)
+            # [y X] in Fortran order, the right-hand sides of each point's solve.
+            self.yx = np.asfortranarray(np.column_stack([self.y, _design_x(dataset)]))
+            self.x = self.yx[:, 1:]
             self.k_rec = np.take(kin[gen], gen, axis=1)
             self.env_onehot = np.asfortranarray(np.eye(dataset.p)[self.env_idx])
 

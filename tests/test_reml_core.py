@@ -7,6 +7,8 @@ against central finite differences of that same scalar; predictions are
 checked against the partitioned joint-normal conditional mean.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,22 @@ class TestRemlLoglik:
             dataset = make_dataset(3, 2, seed=13, kinship=kin)
             with pytest.raises(NumericalError):
                 reml_loglik(dataset, MainEffect(2), np.array([1e308]), 1.0)
+
+
+    def test_failed_factorization_reports_eigenvalues(self):
+        # potrf consumes V; the message must describe V, not what is left.
+        dataset = sparse_dataset()
+        sigma, resid = -2.0 * np.eye(4), 1.0
+        ws = reml_core._RemlWorkspace(dataset, MainEffect(4))
+        with pytest.raises(NumericalError, match="min eigenvalue") as failure:
+            ws.point(sigma, resid)
+        gen, env = dataset.gen_index_array, dataset.env_index_array
+        v = sigma[np.ix_(env, env)] * dataset.kinship.values[np.ix_(gen, gen)]
+        eigs = np.linalg.eigvalsh(v + resid * np.eye(len(v)))
+        reported = re.search(r"min eigenvalue (\S+), max eigenvalue (\S+)\)",
+                             str(failure.value))
+        assert eigs[0] < 0.0
+        assert np.allclose([float(x) for x in reported.groups()], eigs[[0, -1]], rtol=1e-3)
 
 
 class TestScoreAndAi:
@@ -384,12 +402,17 @@ class TestFit:
         assert not result.converged and result.termination == "max_iter"
         assert result.iterations == 1
 
-    def test_one_factorization_per_accepted_step(self, monkeypatch):
-        # Started far from the optimum, so some step halvings are rejected.
+    @staticmethod
+    def assert_one_factorization_per_point(monkeypatch, complete, module, name):
+        """Fit from far off the optimum, counting calls of ``module.name``,
+        the factorization that path makes: one per point evaluated."""
         dist = random_distance(4, seed=25, mean_off=5.0)
         structure = KernelSingleVar(dist)
         dataset = simulated_dataset(structure, [0.3, 1.0], resid_var=0.4, n=40, seed=26)
-        factor = reml_core.scipy.linalg.cholesky
+        if not complete:
+            dataset = dataset.subset([r for r in range(dataset.n_records) if r % 3])
+        evaluator = reml_core._SpectralPoint if complete else reml_core._PointEvaluation
+        factor = getattr(module, name)
         factored = []
 
         def counting(*args, **kwargs):
@@ -405,10 +428,11 @@ class TestFit:
             except NumericalError:
                 logliks.append(None)
                 raise
+            assert isinstance(evaluation, evaluator)
             logliks.append(evaluation.loglik)
             return evaluation
 
-        monkeypatch.setattr(reml_core.scipy.linalg, "cholesky", counting)
+        monkeypatch.setattr(module, name, counting)
         monkeypatch.setattr(reml_core._RemlWorkspace, "point", recording)
         result = fit(dataset, structure, init=np.array([5.0, 50.0]))
         n_factored = len(factored)
@@ -429,6 +453,18 @@ class TestFit:
         _, ai = score_and_ai(*args)
         assert abs(result.loglik - loglik) <= 1e-10 * abs(loglik)
         assert np.max(np.abs(result.ai_matrix - ai)) <= 1e-10 * np.max(np.abs(ai))
+
+    def test_one_factorization_per_accepted_step(self, monkeypatch):
+        # A complete trial: one batched Cholesky call over the blocks per point.
+        self.assert_one_factorization_per_point(
+            monkeypatch, True, reml_core.scipy.linalg, "cholesky"
+        )
+
+    def test_one_dense_factorization_per_accepted_step(self, monkeypatch):
+        # Two thirds of the records: one potrf of the N x N V per point.
+        self.assert_one_factorization_per_point(
+            monkeypatch, False, reml_core.lapack, "dpotrf"
+        )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_trial_counts_as_failed_halving(self, monkeypatch):
