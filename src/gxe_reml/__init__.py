@@ -29,6 +29,7 @@ from .env_features import (
     EnvDistanceMatrix,
     EnvFeatureMatrix,
     blend_correlation,
+    correlation_from_covariance,
     env_correlation,
     env_distance,
     gdd_accumulate,
@@ -62,7 +63,6 @@ from .variance_structures import (
     VarianceStructure,
     average_kernel,
     build_structure,
-    correlation_from_covariance,
     gaussian_kernel,
     mean_offdiag,
 )
@@ -96,7 +96,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DailyWeatherRecord", "EnvCorrelationMatrix", "EnvDistanceMatrix",
-    "EnvFeatureMatrix", "blend_correlation", "env_correlation", "env_distance",
+    "EnvFeatureMatrix", "blend_correlation", "correlation_from_covariance",
+    "env_correlation", "env_distance",
     "gdd_accumulate", "gdd_daily", "piecewise_intercepts", "process_weather",
     "random_correlation", "standardize_rows", "weather_to_features",
     "DataError", "DesignError", "EmptyBinError", "GxeRemlError",
@@ -105,8 +106,7 @@ __all__ = [
     "STRUCTURE_KINDS", "CorrMultiVar", "CorrSingleVar",
     "CovarianceWithDerivatives", "DiagonalVariance", "KernelAveraging",
     "KernelMultiVar", "KernelSingleVar", "MainEffect", "VarianceStructure",
-    "average_kernel", "build_structure", "correlation_from_covariance",
-    "gaussian_kernel", "mean_offdiag",
+    "average_kernel", "build_structure", "gaussian_kernel", "mean_offdiag",
     "CellPrediction", "Dataset", "FitResult", "PhenotypeRecord",
     "RelationshipMatrix", "fit", "lookup_cells", "reml_loglik",
     "score_and_ai",

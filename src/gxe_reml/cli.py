@@ -2,7 +2,9 @@
 
 One binary with subcommands.  Every subcommand accepts ``--config FILE``
 pointing at flat ``key = value`` text whose keys match the flag names with
-underscores (``max_iter = 200``); explicit flags override config values.
+underscores (``max_iter = 200``).  Each line is spelled as the flag
+``--max-iter=200`` ahead of the command line, so config values pass the same
+checks as flags and explicit flags override them.
 Exit status: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 The ``GXE_REML_LOG`` environment variable (error|warn|info|debug) sets the
 stderr logging level.
@@ -14,7 +16,7 @@ import argparse
 import logging
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,98 +54,127 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _floats(text: str, flag: str) -> list[float]:
+def _bounded(convert: Callable, holds: Callable, wording: str) -> Callable:
+    """An argparse ``type``: ``convert`` the text, then require ``holds``."""
+    def parse(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {wording}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_count = _bounded(int, lambda v: v >= 1, ">= 1")
+_size = _bounded(int, lambda v: v >= 2, ">= 2")
+_positive = _bounded(float, lambda v: v > 0, "positive")
+
+
+def _floats(text: str) -> tuple[float, ...]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
 
 
 def _window(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"--window: expected 'lo:hi', got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise UsageError(f"--window: expected numbers 'lo:hi', got {text!r}")
+        lo, hi = (float(part) for part in text.split(":"))
+    except ValueError:  # a bad number, or not two of them
+        raise argparse.ArgumentTypeError(
+            f"expected numbers 'lo:hi', got {text!r}"
+        ) from None
+    if lo >= hi:
+        raise argparse.ArgumentTypeError("lo must be less than hi")
+    return lo, hi
+
+
+def _models(text: str) -> list[str]:
+    kinds = [kind.strip() for kind in text.split(",")]
+    for kind in kinds:
+        if kind not in STRUCTURE_KINDS:
+            raise argparse.ArgumentTypeError(f"unknown structure kind {kind!r}")
+    return kinds
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gxe-reml", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
 
+    # Flags that several subcommands share, each declared once.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="flat key = value defaults file")
+    matrices = argparse.ArgumentParser(add_help=False)
+    matrices.add_argument("--corr", help="correlation CSV (cor1/corP)")
+    matrices.add_argument("--dist", help="distance CSV (kern1/kernP/ka)")
+    matrices.add_argument("--grid", type=_floats,
+                          help="comma-separated bandwidth grid (ka)")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--phenotypes", help="phenotype CSV")
+    data.add_argument("--kinship", help="relationship matrix CSV")
+    controls = argparse.ArgumentParser(add_help=False)
+    controls.add_argument("--max-iter", type=_count, default=100)
+    controls.add_argument("--tol", type=_positive, default=1e-6)
+
     env = sub.add_parser(
-        "env-process", prog="gxe-reml env-process",
+        "env-process", prog="gxe-reml env-process", parents=[config],
         help="weather CSV to feature, correlation, and distance matrices",
     )
-    env.add_argument("--config", help="flat key = value defaults file")
     env.add_argument("--weather", help="daily weather CSV")
     env.add_argument("--variables", help="comma-separated variable names")
-    env.add_argument("--interval", type=float, default=100.0,
+    env.add_argument("--interval", type=_positive, default=100.0,
                      help="heat-unit bin width (default 100)")
-    env.add_argument("--window", help="heat-unit window 'lo:hi'")
+    env.add_argument("--window", type=_window, help="heat-unit window 'lo:hi'")
     env.add_argument("--out-corr", help="output correlation matrix CSV")
     env.add_argument("--out-dist", help="output distance matrix CSV")
     env.add_argument("--out-features", help="optional standardized feature CSV")
 
     sim = sub.add_parser("simulate", prog="gxe-reml simulate",
+                         parents=[config, matrices],
                          help="simulate a multi-environment trial")
-    sim.add_argument("--config", help="flat key = value truth description")
     sim.add_argument("--structure", choices=STRUCTURE_KINDS)
-    sim.add_argument("--n-genotypes", type=int)
-    sim.add_argument("--n-markers", type=int)
+    sim.add_argument("--n-genotypes", type=_size)
+    sim.add_argument("--n-markers", type=_size)
     sim.add_argument("--p-environments", type=int)
-    sim.add_argument("--params", help="comma-separated true parameter values")
+    sim.add_argument("--params", type=_floats,
+                     help="comma-separated true parameter values")
     sim.add_argument("--resid-var", type=float)
-    sim.add_argument("--env-means", help="scalar or comma-separated p values")
+    sim.add_argument("--env-means", type=_floats, default=0.0,
+                     help="scalar or comma-separated p values (default 0)")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--corr", help="correlation CSV (cor1/corP truth)")
-    sim.add_argument("--dist", help="distance CSV (kernel truth)")
-    sim.add_argument("--grid", help="comma-separated bandwidth grid (ka truth)")
     sim.add_argument("--out", help="output directory")
 
     fit_p = sub.add_parser("fit", prog="gxe-reml fit",
+                           parents=[config, data, matrices, controls],
                            help="REML fit of one variance structure")
-    fit_p.add_argument("--config", help="flat key = value defaults file")
-    fit_p.add_argument("--phenotypes", help="phenotype CSV")
-    fit_p.add_argument("--kinship", help="relationship matrix CSV")
     fit_p.add_argument("--structure", choices=STRUCTURE_KINDS)
-    fit_p.add_argument("--corr", help="correlation CSV (cor1/corP)")
-    fit_p.add_argument("--dist", help="distance CSV (kern1/kernP/ka)")
-    fit_p.add_argument("--grid", help="comma-separated bandwidth grid (ka)")
-    fit_p.add_argument("--init", help="comma-separated initial parameters")
+    fit_p.add_argument("--init", type=_floats,
+                       help="comma-separated initial parameters")
     fit_p.add_argument("--resid-init", type=float)
-    fit_p.add_argument("--max-iter", type=int, default=100)
-    fit_p.add_argument("--tol", type=float, default=1e-6)
     fit_p.add_argument("--out", help="output directory")
 
-    pred = sub.add_parser("predict", prog="gxe-reml predict",
+    pred = sub.add_parser("predict", prog="gxe-reml predict", parents=[config],
                           help="cell predictions from a stored fit")
-    pred.add_argument("--config", help="flat key = value defaults file")
     pred.add_argument("--fit", help="fit output directory")
     pred.add_argument("--targets", help="CSV of genotype,environment targets")
     pred.add_argument("--out", help="output CSV")
 
     cv_p = sub.add_parser("cv", prog="gxe-reml cv",
+                          parents=[config, data, matrices, controls],
                           help="sparse-testing cross-validation")
-    cv_p.add_argument("--config", help="flat key = value defaults file")
-    cv_p.add_argument("--phenotypes", help="phenotype CSV (real-data mode)")
     cv_p.add_argument("--sim-config", help="truth config file (simulation mode)")
-    cv_p.add_argument("--kinship", help="relationship matrix CSV")
-    cv_p.add_argument("--models", help="comma-separated structure kinds")
-    cv_p.add_argument("--checks", type=int, default=5)
-    cv_p.add_argument("--envs-per-variety", type=int, default=2)
-    cv_p.add_argument("--replicates", type=int, default=100)
+    cv_p.add_argument("--models", type=_models,
+                      help="comma-separated structure kinds")
+    cv_p.add_argument("--checks", type=_count, default=5)
+    cv_p.add_argument("--envs-per-variety", type=_count, default=2)
+    cv_p.add_argument("--replicates", type=_count, default=100)
     cv_p.add_argument("--seed", type=int, default=42)
-    cv_p.add_argument("--lambdas", help="comma-separated blend weights")
-    cv_p.add_argument("--corr", help="correlation CSV for cor1/corP models")
-    cv_p.add_argument("--dist", help="distance CSV for kernel models")
-    cv_p.add_argument("--grid", help="comma-separated bandwidth grid (ka)")
-    cv_p.add_argument("--max-iter", type=int, default=100)
-    cv_p.add_argument("--tol", type=float, default=1e-6)
+    cv_p.add_argument("--lambdas", type=_floats,
+                      help="comma-separated blend weights")
     cv_p.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_count, default=1,
         help="worker processes (default 1: each fit already runs multithreaded "
              "BLAS, so more workers oversubscribe the cores and usually run slower)",
     )
@@ -151,40 +182,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(parser: _Parser, command: str, config: dict[str, str]) -> None:
-    """Install config values as defaults on the matching subparser."""
-    sub_actions = [
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    subparser = sub_actions[0].choices[command]
-    known = {a.dest: a for a in subparser._actions}
-    for key, raw in config.items():
+def _config_flags(parser: _Parser, command: str, path) -> list[str]:
+    """The ``key = value`` lines of a config file as ``--key=value`` flags.
+
+    The ``=`` form keeps a value that starts with '-' (``window = -100:100``)
+    attached to its flag.
+    """
+    known = vars(parser.parse_args([command]))
+    flags = []
+    for key, value in gio.read_config_file(path).items():
         if key not in known:
             raise UsageError(f"config key {key!r} is not a {command} option")
-        action = known[key]
-        value = raw
-        if action.type is not None:
-            try:
-                value = action.type(raw)
-            except (TypeError, ValueError):
-                raise UsageError(f"config key {key!r}: bad value {raw!r}")
-        if action.choices is not None and value not in action.choices:
-            raise UsageError(
-                f"config key {key!r}: {value!r} is not one of "
-                f"{', '.join(map(str, action.choices))}"
-            )
-        subparser.set_defaults(**{key: value})
-
-
-def _scan_config_path(argv: Sequence[str]) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise UsageError("--config: expected a file path")
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -201,13 +211,14 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
             values, or structure/matrix mismatches.
     """
     parser = _build_parser()
-    command = next((tok for tok in argv if not tok.startswith("-")), None)
-    config_path = _scan_config_path(argv)
-    if config_path is not None and command in _HANDLERS:
-        _apply_config(parser, command, gio.read_config_file(config_path))
-    args = parser.parse_args(list(argv))
+    argv = list(argv)
+    args = parser.parse_args(argv)
     if args.command is None:
         raise UsageError("gxe-reml: a subcommand is required (see --help)")
+    if args.config is not None:
+        at = argv.index(args.command) + 1
+        config = _config_flags(parser, args.command, args.config)
+        args = parser.parse_args(argv[:at] + config + argv[at:])
     _validate(args)
     return args
 
@@ -231,36 +242,20 @@ def _check_structure_matrices(args: argparse.Namespace) -> None:
 def _check_simulate(args: argparse.Namespace) -> None:
     """The simulate checks that do not concern --out (shared with --sim-config)."""
     _require(args, "structure", "n_genotypes", "n_markers", "params", "resid_var")
-    if args.n_genotypes < 2 or args.n_markers < 2:
-        raise UsageError("--n-genotypes and --n-markers must be >= 2")
     if structure_class(args.structure).needs == "p" and args.p_environments is None:
         raise UsageError(f"--structure {args.structure} requires --p-environments")
     _check_structure_matrices(args)
-
-
-def _check_fit_controls(args: argparse.Namespace) -> None:
-    """The --max-iter and --tol checks that fit and cv share."""
-    if args.max_iter < 1:
-        raise UsageError("--max-iter must be >= 1")
-    if args.tol <= 0:
-        raise UsageError("--tol must be positive")
 
 
 def _validate(args: argparse.Namespace) -> None:
     cmd = args.command
     if cmd == "env-process":
         _require(args, "weather", "variables", "window", "out_corr", "out_dist")
-        if args.interval <= 0:
-            raise UsageError("--interval must be positive")
-        args.window_parsed = _window(args.window)
-        if args.window_parsed[0] >= args.window_parsed[1]:
-            raise UsageError("--window: lo must be less than hi")
     elif cmd == "simulate":
         _check_simulate(args)
         _require(args, "out")
     elif cmd == "fit":
         _require(args, "phenotypes", "kinship", "structure", "out")
-        _check_fit_controls(args)
         _check_structure_matrices(args)
     elif cmd == "predict":
         _require(args, "fit", "targets", "out")
@@ -270,20 +265,6 @@ def _validate(args: argparse.Namespace) -> None:
         if args.phenotypes is not None and args.kinship is None:
             raise UsageError("--phenotypes mode requires --kinship")
         _require(args, "models", "out")
-        if args.replicates < 1:
-            raise UsageError("--replicates must be >= 1")
-        if args.checks < 1:
-            raise UsageError("--checks must be >= 1")
-        if args.envs_per_variety < 1:
-            raise UsageError("--envs-per-variety must be >= 1")
-        _check_fit_controls(args)
-        if args.jobs < 1:
-            raise UsageError("--jobs must be >= 1")
-        for kind in args.models.split(","):
-            if kind.strip() not in STRUCTURE_KINDS:
-                raise UsageError(
-                    f"--models: unknown structure kind {kind.strip()!r}"
-                )
 
 
 def _structure_inputs(args: argparse.Namespace) -> dict:
@@ -291,7 +272,7 @@ def _structure_inputs(args: argparse.Namespace) -> dict:
     return {
         "corr": gio.read_correlation_csv(args.corr) if args.corr else None,
         "dist": gio.read_distance_csv(args.dist) if args.dist else None,
-        "grid": tuple(_floats(args.grid, "--grid")) if args.grid else None,
+        "grid": args.grid or None,
     }
 
 
@@ -318,17 +299,13 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
     structure = build_structure(
         args.structure, p=args.p_environments, **_structure_inputs(args)
     )
-    env_means: float | list[float] = 0.0
-    if args.env_means is not None:
-        values = _floats(args.env_means, "--env-means")
-        env_means = values[0] if len(values) == 1 else values
     return SimConfig(
         n_genotypes=args.n_genotypes,
         n_markers=args.n_markers,
         structure=structure,
-        true_params=np.array(_floats(args.params, "--params")),
+        true_params=np.array(args.params),
         resid_var=args.resid_var,
-        env_means=env_means,
+        env_means=args.env_means,
         seed=args.seed,
     )
 
@@ -341,8 +318,7 @@ def _read_sim_config(path) -> SimConfig:
     """
     parser = _build_parser()
     try:
-        _apply_config(parser, "simulate", gio.read_config_file(path))
-        args = parser.parse_args(["simulate"])
+        args = parser.parse_args(["simulate", *_config_flags(parser, "simulate", path)])
         _check_simulate(args)
         return _sim_config(args)
     except _MissingOption as exc:
@@ -356,7 +332,7 @@ def _cmd_env_process(args: argparse.Namespace) -> None:
     records = gio.read_weather_csv(args.weather)
     variables = [v.strip() for v in args.variables.split(",") if v.strip()]
     features, corr, dist = process_weather(
-        records, variables, args.interval, args.window_parsed
+        records, variables, args.interval, args.window
     )
     gio.write_matrix_csv(args.out_corr, corr.values, corr.labels, corr.labels)
     gio.write_matrix_csv(args.out_dist, dist.values, dist.labels, dist.labels)
@@ -397,7 +373,7 @@ def _cmd_fit(args: argparse.Namespace) -> None:
     structure = build_structure(
         args.structure, env_labels=dataset.environment_labels, **inputs
     )
-    init = np.array(_floats(args.init, "--init")) if args.init else None
+    init = np.array(args.init) if args.init else None
     result = fit(
         dataset, structure,
         init=init, resid_init=args.resid_init,
@@ -440,10 +416,10 @@ def _cmd_cv(args: argparse.Namespace) -> None:
         replicates=args.replicates,
         seed=args.seed,
     )
-    lambdas = _floats(args.lambdas, "--lambdas") if args.lambdas else None
     rows = run_cv(
-        [k.strip() for k in args.models.split(",")], design,
-        sim_config=sim_config, dataset=dataset, **inputs, lambdas=lambdas,
+        args.models, design,
+        sim_config=sim_config, dataset=dataset, **inputs,
+        lambdas=args.lambdas or None,  # "" is lambda 0 alone
         max_iter=args.max_iter, tol=args.tol, jobs=args.jobs,
     )
     gio.write_cv_report(args.out, rows)
@@ -492,7 +468,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
         _HANDLERS[args.command](args)
-    except UsageError as exc:  # also a malformed number list, found while running
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, InvalidInputError) as exc:

@@ -41,6 +41,7 @@ from .env_features import (
     EnvCorrelationMatrix,
     EnvDistanceMatrix,
     blend_correlation,
+    correlation_from_covariance,
     in_label_order,
     random_correlation,
 )
@@ -50,7 +51,6 @@ from .simulator import SimConfig, simulate_met
 from .variance_structures import (
     VarianceStructure,
     build_structure,
-    correlation_from_covariance,
     structure_class,
 )
 

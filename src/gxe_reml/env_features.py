@@ -374,6 +374,21 @@ def blend_correlation(
     return _derived(corr, out, corr.labels)
 
 
+def correlation_from_covariance(
+    sigma: np.ndarray, labels: Sequence[str] | None = None
+) -> EnvCorrelationMatrix:
+    """Rescale a covariance matrix to unit diagonal."""
+    sigma = np.asarray(sigma, dtype=float)
+    d = np.sqrt(np.diag(sigma))
+    if np.any(d <= 0.0):
+        raise InvalidInputError("covariance has a non-positive diagonal entry")
+    c = sigma / np.outer(d, d)
+    np.fill_diagonal(c, 1.0)
+    if labels is None:
+        labels = [f"e{j}" for j in range(sigma.shape[0])]
+    return EnvCorrelationMatrix(c, list(labels))
+
+
 def random_correlation(p: int, seed: int, labels: Sequence[str] | None = None) -> EnvCorrelationMatrix:
     """Random correlation matrix from a rescaled Wishart-style draw.
 
@@ -387,13 +402,7 @@ def random_correlation(p: int, seed: int, labels: Sequence[str] | None = None) -
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((p, p))
     b = a @ a.T
-    b = 0.5 * (b + b.T)
-    d = np.sqrt(np.diag(b))
-    c = b / np.outer(d, d)
-    np.fill_diagonal(c, 1.0)
-    if labels is None:
-        labels = [f"e{j}" for j in range(p)]
-    return EnvCorrelationMatrix(c, list(labels))
+    return correlation_from_covariance(0.5 * (b + b.T), labels)
 
 
 def weather_to_features(

@@ -126,10 +126,9 @@ def _cell_rows(matrix: np.ndarray, genotype_labels: Sequence[str],
 
 def _read_square(path, what: str) -> tuple[np.ndarray, list[str]]:
     values, row_labels, col_labels = read_matrix_csv(path)
+    # Every row has the header's cell count, so equal labels make it square.
     if row_labels != col_labels:
         raise DataError(f"{path}: {what} row labels differ from column labels")
-    if values.shape[0] != values.shape[1]:
-        raise DataError(f"{path}: {what} must be square, got {values.shape}")
     return values, row_labels
 
 

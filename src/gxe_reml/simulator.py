@@ -36,8 +36,9 @@ logger = logging.getLogger(__name__)
 class SimConfig:
     """Ground-truth description of one simulated multi-environment trial.
 
-    ``env_means`` may be a scalar (shared by all environments) or a
-    p-vector.  ``resid_var`` of exactly 0 is allowed (noise-free data).
+    ``env_means`` may be a scalar or a 1-vector (shared by all
+    environments) or a p-vector, and is stored as a p-vector.
+    ``resid_var`` of exactly 0 is allowed (noise-free data).
     When ``kinship`` is supplied it is used as-is and no markers are
     simulated, so distinct seeds redraw genetic values and noise under one
     fixed relationship matrix.
@@ -75,6 +76,15 @@ class SimConfig:
                 f"resid_var must be >= 0, got {self.resid_var}"
             )
         self.true_params = np.atleast_1d(np.asarray(self.true_params, dtype=float))
+        p = self.p_environments
+        try:
+            self.env_means = np.broadcast_to(self.env_means, (p,)).astype(float)
+        except ValueError:
+            raise InvalidInputError(
+                f"env_means must be one value or {p}, got {self.env_means!r}"
+            ) from None
+        if not np.all(np.isfinite(self.env_means)):
+            raise InvalidInputError("env_means must be finite")
 
     @property
     def p_environments(self) -> int:
@@ -180,11 +190,6 @@ def simulate_met(config: SimConfig) -> SimOutput:
     variance ``config.resid_var``; the output dataset observes every cell.
     """
     p = config.p_environments
-    env_means = np.broadcast_to(
-        np.asarray(config.env_means, dtype=float), (p,)
-    ).astype(float)
-    if not np.all(np.isfinite(env_means)):
-        raise InvalidInputError("env_means must be finite")
     root = np.random.SeedSequence(config.seed)
     marker_seed, draw_seed = root.spawn(2)
     if config.kinship is not None:
@@ -203,7 +208,7 @@ def simulate_met(config: SimConfig) -> SimOutput:
     # L_K Z as (Z^T L_K^T)^T, the product NumPy's row-major matmul forms.
     u = blas.dgemm(1.0, z.T, l_k.T).T @ l_sigma.T
     eps = rng.standard_normal((config.n_genotypes, p)) * np.sqrt(config.resid_var)
-    y = env_means[None, :] + u + eps
+    y = config.env_means[None, :] + u + eps
     env_labels = config.environment_labels
     records = [
         PhenotypeRecord(kinship.labels[g], env_labels[e], float(y[g, e]))

@@ -99,21 +99,6 @@ def mean_offdiag(dist: EnvDistanceMatrix | np.ndarray) -> float:
     return mean
 
 
-def correlation_from_covariance(
-    sigma: np.ndarray, labels: Sequence[str] | None = None
-) -> EnvCorrelationMatrix:
-    """Rescale a covariance matrix to unit diagonal."""
-    sigma = np.asarray(sigma, dtype=float)
-    d = np.sqrt(np.diag(sigma))
-    if np.any(d <= 0.0):
-        raise InvalidInputError("covariance has a non-positive diagonal entry")
-    c = sigma / np.outer(d, d)
-    np.fill_diagonal(c, 1.0)
-    if labels is None:
-        labels = [f"e{j}" for j in range(sigma.shape[0])]
-    return EnvCorrelationMatrix(c, list(labels))
-
-
 def _validated_correlation(corr: EnvCorrelationMatrix) -> np.ndarray:
     """Copy of a correlation matrix, clipped to the PSD cone if needed."""
     c = corr.values.copy()

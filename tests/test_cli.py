@@ -14,7 +14,7 @@ import pytest
 
 from gxe_reml import Dataset, build_structure, reml_core
 from gxe_reml import io as gio
-from gxe_reml.cli import _build_parser, main
+from gxe_reml.cli import _build_parser, main, parse_args
 
 from helpers import contrast_reml, gaussian_reference_corr, random_distance
 
@@ -234,6 +234,18 @@ class TestSimulateCommand:
         assert same == again, "one seed must reproduce files byte for byte"
         assert same != other
 
+
+    @pytest.mark.parametrize("env_means", ["1,2", ""])
+    def test_env_means_of_another_length(self, tmp_path, capsys, env_means):
+        rc = main([
+            "simulate", "--structure", "main", "--p-environments", "3",
+            "--n-genotypes", "10", "--n-markers", "40", "--params", "1",
+            "--resid-var", "0.5", "--env-means", env_means,
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2, "three environments take one mean or three"
+        assert "env_means" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 class TestFitCommand:
     def test_fit_outputs(self, workspace):
@@ -615,6 +627,49 @@ class TestCvCommand:
         assert str(cfg) in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("key, value, needle", [
+        ("n_genotypes", "1", "--n-genotypes"),
+        ("env_means", "1,2", "env_means"),
+    ])
+    def test_sim_config_checked_before_any_replicate(self, tmp_path, capsys,
+                                                    monkeypatch, key, value, needle):
+        simulated = []
+        monkeypatch.setattr("gxe_reml.cv.simulate_met", simulated.append)
+        entries = {
+            "structure": "main", "p_environments": "3", "n_genotypes": "20",
+            "n_markers": "80", "params": "1.0", "resid_var": "0.5",
+        }
+        entries[key] = value
+        cfg = tmp_path / "truth.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        rc = main([
+            "cv", "--sim-config", str(cfg), "--models", "main",
+            "--replicates", "1", "--envs-per-variety", "1",
+            "--checks", "2", "--out", str(tmp_path / "r.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(cfg) in err and needle in err
+        assert simulated == [], "a bad truth file fails before replicate 0"
+
+    def test_empty_lambdas_mean_lambda_zero(self, tmp_path, monkeypatch):
+        seen = {}
+        monkeypatch.setattr(
+            "gxe_reml.cli.run_cv",
+            lambda models, design, **kwargs: seen.update(kwargs) or [],
+        )
+        cfg = tmp_path / "truth.cfg"
+        cfg.write_text(
+            "structure = main\np_environments = 3\nn_genotypes = 20\n"
+            "n_markers = 80\nparams = 1.0\nresid_var = 0.5\n"
+        )
+        rc = main([
+            "cv", "--sim-config", str(cfg), "--models", "main", "--lambdas", "",
+            "--out", str(tmp_path / "r.csv"),
+        ])
+        assert rc == 0
+        assert seen["lambdas"] is None
+
 class TestEnvProcessCommand:
     @staticmethod
     def write_weather(path, labels=("EA", "EB", "EC")):
@@ -765,6 +820,32 @@ class TestConfigFile:
         assert main(["fit", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("key, flag", [("max_iter", "--max-iter"), ("tol", "--tol")])
+    def test_config_values_pass_the_flag_checks(self, fit_config, capsys, key, flag):
+        cfg, out = fit_config
+        cfg.write_text(cfg.read_text() + f"{key} = 0\n")
+        assert main(["fit", "--config", str(cfg)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_config_values_parse(self, tmp_path):
+        # a config value that starts with '-' is not read as a flag
+        env_cfg = tmp_path / "env.cfg"
+        env_cfg.write_text(
+            "weather = w.csv\nvariables = rain\nwindow = -100:100\n"
+            "out_corr = c.csv\nout_dist = d.csv\n"
+        )
+        args = parse_args(["env-process", "--config", str(env_cfg)])
+        assert args.window == (-100.0, 100.0)
+        sim_cfg = tmp_path / "sim.cfg"
+        sim_cfg.write_text(
+            "structure = main\np_environments = 3\nn_genotypes = 10\n"
+            "n_markers = 40\nparams = 1\nresid_var = 0.5\n"
+            "env_means = -1,-2,-3\nout = o\n"
+        )
+        args = parse_args(["simulate", "--config", str(sim_cfg)])
+        assert args.env_means == (-1.0, -2.0, -3.0)
 
 class TestLogging:
     def test_unknown_level_warns(self, monkeypatch, caplog):

@@ -143,11 +143,21 @@ class TestSimulateMet:
 
     def test_non_finite_env_means_rejected(self):
         corr = gaussian_reference_corr(2, seed=13)
-        config = base_config(
-            CorrSingleVar(corr), [1.0], 0.4, seed=14, env_means=[2.5, np.nan]
-        )
-        with pytest.raises(InvalidInputError):
-            simulate_met(config)
+        with pytest.raises(InvalidInputError, match="finite"):
+            base_config(
+                CorrSingleVar(corr), [1.0], 0.4, seed=14, env_means=[2.5, np.nan]
+            )
+
+    @pytest.mark.parametrize("env_means", [[1.0, 2.0], [], "abc"])
+    def test_env_means_of_another_length_rejected(self, env_means):
+        # p = 3 takes one mean or three, never a traceback from NumPy
+        with pytest.raises(InvalidInputError, match="env_means"):
+            base_config(MainEffect(3), [1.0], 0.4, env_means=env_means)
+
+    def test_env_means_stored_per_environment(self):
+        for env_means in (2.5, [2.5]):
+            config = base_config(MainEffect(3), [1.0], 0.4, env_means=env_means)
+            assert np.array_equal(config.env_means, [2.5, 2.5, 2.5])
 
     def test_zero_covariance_zero_effects(self):
         out = simulate_met(base_config(MainEffect(3), [0.0], 0.3, seed=13))
