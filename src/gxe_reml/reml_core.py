@@ -59,10 +59,11 @@ Two point evaluators do this behind one interface (``loglik``, ``beta``,
   V is n - 1 blocks B_i = d_i Sigma + resid_var I_p.  Then
   l_R = -1/2 [sum_i log|B_i| + sum_i y_i^T B_i^-1 y_i + p log n], y_i the
   rows of U^T C^T Y for the n x p phenotype grid Y (p log n = log|X^T X|).
-  One batched Cholesky call factors the blocks per trial point, and score,
-  AI and C reduce to p x p sums over them.  The contrasts also avoid the
-  cancellation in log|V| + log|X^T V^-1 X| + y^T P y as resid_var -> 0
-  when K 1 = 0 (a centred kinship).
+  The eigendecomposition is computed once per kinship and shared by every
+  fit on it.  Per trial point, one potrf call factors each block in
+  place, and score, AI and C reduce to p x p sums over them.  The
+  contrasts also avoid the cancellation in log|V| + log|X^T V^-1 X| +
+  y^T P y as resid_var -> 0 when K 1 = 0 (a centred kinship).
 
 Products and factorizations with an N-sized operand run on SciPy's BLAS
 and LAPACK, by the package's one-pool rule (:mod:`gxe_reml`).
@@ -77,6 +78,7 @@ cells from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -105,12 +107,15 @@ class PhenotypeRecord:
     value: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelationshipMatrix:
     """Genotype relationship matrix with labels.
 
     Symmetrized on construction (asymmetry beyond 1e-8 is an error) and
-    required to have minimum eigenvalue >= -1e-8 times the maximum.
+    required to have minimum eigenvalue >= -1e-8 times the maximum.  The
+    validated ``values`` are read-only and the fields cannot be reassigned,
+    so the contrast eigendecomposition that complete-trial fits share,
+    computed on first use, always describes ``values``.
     """
 
     values: np.ndarray
@@ -141,11 +146,26 @@ class RelationshipMatrix:
                 f"relationship matrix is not positive semidefinite "
                 f"(min eigenvalue {eigs[0]:.3e}, max {eigs[-1]:.3e})"
             )
-        self.values = values
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays are writeable (a CV worker's copy, say).
+        for array in (state["values"], *state.get("_contrast_basis", ())):
+            array.setflags(write=False)
+        self.__dict__.update(state)
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def _contrast_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(d, C U) of :func:`_contrast_rotation`, read-only."""
+        d, cu = _contrast_rotation(self.values)
+        d.setflags(write=False)
+        cu.setflags(write=False)
+        return d, cu
 
 
 class Dataset:
@@ -174,37 +194,43 @@ class Dataset:
         self.genotype_labels: list[str] = list(kinship.labels)
         self._gen_map = {g: i for i, g in enumerate(self.genotype_labels)}
         self._env_map = {e: j for j, e in enumerate(environment_labels)}
-        gen_idx = np.empty(len(self.records), dtype=np.intp)
-        env_idx = np.empty(len(self.records), dtype=np.intp)
-        values = np.empty(len(self.records))
-        seen: set[tuple[int, int]] = set()
-        for r, rec in enumerate(self.records):
-            try:
-                gen_idx[r] = self._gen_map[rec.genotype]
-            except KeyError:
+        recs, n_rec = self.records, len(self.records)
+        gen_map, env_map = self._gen_map, self._env_map
+        gen_idx = np.fromiter((gen_map.get(r.genotype, -1) for r in recs), np.intp, n_rec)
+        env_idx = np.fromiter((env_map.get(r.environment, -1) for r in recs), np.intp, n_rec)
+        values = np.fromiter((r.value for r in recs), float, n_rec)
+        unknown_gen, unknown_env = gen_idx < 0, env_idx < 0
+        # A repeat is a record whose cell an earlier record holds.  A record
+        # with an unknown label (index -1) can share a real record's cell
+        # code, but it fails a label check first itself, and any record it
+        # marks as a repeat comes after it: the first faulty record and its
+        # first fault are those a record-by-record scan would report.
+        cells = gen_idx * len(environment_labels) + env_idx
+        order = np.argsort(cells, kind="stable")
+        repeat = np.zeros(n_rec, dtype=bool)
+        repeat[order[1:]] = cells[order[1:]] == cells[order[:-1]]
+        faulty = np.flatnonzero(unknown_gen | unknown_env | repeat | ~np.isfinite(values))
+        if faulty.size:
+            r = int(faulty[0])
+            rec = recs[r]
+            if unknown_gen[r]:
                 raise UnknownLabelError(
                     f"record {r}: genotype {rec.genotype!r} is not in the "
                     f"relationship matrix"
-                ) from None
-            try:
-                env_idx[r] = self._env_map[rec.environment]
-            except KeyError:
+                )
+            if unknown_env[r]:
                 raise UnknownLabelError(
                     f"record {r}: environment {rec.environment!r} is not in the "
                     f"environment labels"
-                ) from None
-            cell = (int(gen_idx[r]), int(env_idx[r]))
-            if cell in seen:
+                )
+            if repeat[r]:
                 raise DataError(
                     f"duplicate cell ({rec.genotype!r}, {rec.environment!r})"
                 )
-            seen.add(cell)
-            if not np.isfinite(rec.value):
-                raise DataError(
-                    f"record {r} ({rec.genotype!r}, {rec.environment!r}): "
-                    f"non-finite value"
-                )
-            values[r] = rec.value
+            raise DataError(
+                f"record {r} ({rec.genotype!r}, {rec.environment!r}): "
+                f"non-finite value"
+            )
         self.gen_index_array = gen_idx
         self.env_index_array = env_idx
         self.values = values
@@ -423,23 +449,30 @@ def _contrast_rotation(kin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _SpectralPoint:
     """Likelihood pieces at one point of a complete trial, in the contrast
     eigenbasis: the rotated V is block diagonal with B_i = d_i Sigma +
-    resid_var I, factored in one batched Cholesky call."""
+    resid_var I, each block factored in place by its own potrf call."""
 
     def __init__(self, ws: "_RemlWorkspace", sigma: np.ndarray, resid_var: float):
         self.ws = ws
         self.sigma = sigma
         if not np.all(np.isfinite(sigma)):
             raise NumericalError("covariance matrix is not finite")
-        blocks = ws.d[:, None, None] * sigma
-        blocks += resid_var * np.eye(len(sigma))
+        chol = ws.d[:, None, None] * sigma
+        chol += resid_var * np.eye(len(sigma))
         # A block whose trace overflows has eigenvalues near the double range.
-        traces = np.trace(blocks, axis1=1, axis2=2)
-        if not (np.all(np.isfinite(blocks)) and np.all(np.isfinite(traces))):
+        traces = np.trace(chol, axis1=1, axis2=2)
+        if not (np.all(np.isfinite(chol)) and np.all(np.isfinite(traces))):
             raise NumericalError("covariance matrix is not finite")
-        try:
-            chol = scipy.linalg.cholesky(blocks, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(f"covariance factorization failed: {exc}") from None
+        # B_i is symmetric, so its C-ordered transpose is B_i in Fortran
+        # order: potrf factors it there with no copy, and the upper factor
+        # it writes reads in C order as the lower factor L_i.
+        potrf = lapack.dpotrf
+        for i, block in enumerate(chol.transpose(0, 2, 1)):
+            info = potrf(block, lower=0, overwrite_a=1, clean=1)[1]
+            if info != 0:
+                raise NumericalError(
+                    f"covariance factorization failed (potrf info {info} on the "
+                    f"block with d_i = {ws.d[i]:.6e})"
+                )
         logdet_v = 2.0 * float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
         # r_i = B_i^-1 y_i through z_i = L_i^-1 y_i, so y^T P y = sum |z_i|^2.
         self.inv_chol = inv_chol = np.linalg.inv(chol)
@@ -486,9 +519,9 @@ class _SpectralPoint:
 class _RemlWorkspace:
     """Cached per-dataset quantities shared across likelihood evaluations.
 
-    A complete trial is rotated once into the contrast eigenbasis and
-    evaluated by :class:`_SpectralPoint`; any other by the dense
-    :class:`_PointEvaluation`.
+    A complete trial is rotated into the contrast eigenbasis, decomposed
+    once per kinship and shared by every dataset on it, and evaluated by
+    :class:`_SpectralPoint`; any other by the dense :class:`_PointEvaluation`.
     """
 
     def __init__(self, dataset: Dataset, structure: VarianceStructure):
@@ -512,7 +545,7 @@ class _RemlWorkspace:
         if _is_complete(dataset):
             self._evaluate = _SpectralPoint
             self.kin = kin
-            self.d, self.cu = _contrast_rotation(kin)
+            self.d, self.cu = dataset.kinship._contrast_basis
             self.y_grid = np.zeros((dataset.n, dataset.p), order="F")
             self.y_grid[gen, self.env_idx] = self.y
             self.y_rot = blas.dgemm(1.0, self.cu, self.y_grid, trans_a=1)
@@ -667,11 +700,11 @@ def fit(
     (``"stalled"``), and exceeding ``max_iter`` (``"max_iter"``), end the
     fit with ``converged=False``.
 
-    Each accepted step costs one Cholesky factorization, since the accepted
-    trial point is reused for the derivatives, plus one per rejected
-    halving: of the N x N covariance V (``_PointEvaluation``), or on a
-    complete trial one batched call over its n - 1 p x p blocks in the
-    contrast eigenbasis (``_SpectralPoint``; module docstring).
+    Each accepted step factors one trial point, since the accepted point is
+    reused for the derivatives, plus one per rejected halving: the N x N
+    covariance V in one potrf call (``_PointEvaluation``), or on a complete
+    trial its n - 1 p x p blocks in the contrast eigenbasis, one potrf call
+    each (``_SpectralPoint``; module docstring).
     Trial points whose parameters overflow are skipped without factoring.  A
     parameter at the lower bound pushed further down is left out of the step,
     and a log-scale step is clipped to +-5, or scaled whole to that size when

@@ -15,11 +15,13 @@ import numpy as np
 
 from gxe_reml import (
     CvRow,
+    DataError,
     Dataset,
     EnvDistanceMatrix,
     EnvFeatureMatrix,
     PhenotypeRecord,
     RelationshipMatrix,
+    UnknownLabelError,
     build_structure,
     env_distance,
 )
@@ -92,6 +94,33 @@ def make_dataset(
             records.append(PhenotypeRecord(gens[g], envs[e], value))
             k += 1
     return Dataset(records, kin, envs)
+
+
+def first_record_fault(records, kinship: RelationshipMatrix, environment_labels):
+    """Record-by-record reference for ``Dataset``'s checks: the error the
+    first faulty record raises (genotype, environment, repeated cell, then
+    value, in that order), or None when every record is valid."""
+    genotypes, environments = set(kinship.labels), set(environment_labels)
+    seen = set()
+    for r, rec in enumerate(records):
+        if rec.genotype not in genotypes:
+            return UnknownLabelError(
+                f"record {r}: genotype {rec.genotype!r} is not in the relationship matrix"
+            )
+        if rec.environment not in environments:
+            return UnknownLabelError(
+                f"record {r}: environment {rec.environment!r} is not in the "
+                f"environment labels"
+            )
+        cell = (rec.genotype, rec.environment)
+        if cell in seen:
+            return DataError(f"duplicate cell ({rec.genotype!r}, {rec.environment!r})")
+        seen.add(cell)
+        if not math.isfinite(rec.value):
+            return DataError(
+                f"record {r} ({rec.genotype!r}, {rec.environment!r}): non-finite value"
+            )
+    return None
 
 
 @dataclass

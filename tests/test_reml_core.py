@@ -7,6 +7,7 @@ against central finite differences of that same scalar; predictions are
 checked against the partitioned joint-normal conditional mean.
 """
 
+import pickle
 import re
 
 import numpy as np
@@ -15,11 +16,13 @@ import pytest
 from gxe_reml import reml_core
 from gxe_reml import (
     CorrSingleVar,
+    DataError,
     Dataset,
     DesignError,
     DiagonalVariance,
     EnvCorrelationMatrix,
     InvalidInputError,
+    KernelMultiVar,
     KernelSingleVar,
     MainEffect,
     NumericalError,
@@ -42,6 +45,7 @@ from helpers import (
     dense_reml,
     dense_score_and_ai,
     fd_gradient,
+    first_record_fault,
     gaussian_reference_corr,
     make_dataset,
     random_distance,
@@ -71,6 +75,65 @@ def sparse_dataset():
     """9 genotypes x 4 environments, unequal record counts per environment."""
     missing = {(0, 1), (3, 1), (5, 2), (1, 3), (2, 3), (7, 3)}
     return make_dataset(9, 4, seed=60, missing=missing)
+
+
+class TestDataset:
+    """Record checks: the first faulty record, and its first fault among
+    unknown genotype, unknown environment, repeated cell and non-finite
+    value, name the error."""
+
+    @staticmethod
+    def records(n, p):
+        dataset = make_dataset(n, p, seed=80)
+        return list(dataset.records), dataset.kinship, dataset.environment_labels
+
+    @pytest.mark.parametrize("fault, error, message", [
+        (lambda rec: PhenotypeRecord("ghost", rec.environment, rec.value),
+         UnknownLabelError, "record 5: genotype 'ghost' is not in the relationship matrix"),
+        (lambda rec: PhenotypeRecord(rec.genotype, "E9", rec.value),
+         UnknownLabelError, "record 5: environment 'E9' is not in the environment labels"),
+        (lambda rec: PhenotypeRecord("g000", "E0", rec.value),
+         DataError, "duplicate cell ('g000', 'E0')"),
+        (lambda rec: PhenotypeRecord(rec.genotype, rec.environment, np.inf),
+         DataError, "record 5 ('g005', 'E0'): non-finite value"),
+    ], ids=["genotype", "environment", "duplicate", "non-finite"])
+    def test_each_fault_names_its_record(self, fault, error, message):
+        records, kin, envs = self.records(6, 2)
+        records[5] = fault(records[5])
+        with pytest.raises(error) as failure:
+            Dataset(records, kin, envs)
+        assert str(failure.value) == message
+
+    def test_matches_a_record_by_record_scan(self):
+        records, kin, envs = self.records(5, 3)
+        rng = np.random.default_rng(81)
+        faults = [
+            lambda rec: PhenotypeRecord("ghost", rec.environment, rec.value),
+            lambda rec: PhenotypeRecord(rec.genotype, "E9", rec.value),
+            lambda rec: PhenotypeRecord("ghost", "E9", rec.value),
+            lambda rec: PhenotypeRecord(rec.genotype, rec.environment, np.nan),
+            lambda rec: PhenotypeRecord(rec.genotype, rec.environment, -np.inf),
+        ]
+        for _ in range(300):
+            drawn = [records[i] for i in rng.permutation(len(records))]
+            for r in rng.choice(len(drawn), size=rng.integers(0, 4), replace=False):
+                if rng.random() < 0.4:  # repeat another record's cell
+                    other = drawn[rng.integers(len(drawn))]
+                    drawn[r] = PhenotypeRecord(other.genotype, other.environment, 0.0)
+                else:
+                    drawn[r] = faults[rng.integers(len(faults))](drawn[r])
+            want = first_record_fault(drawn, kin, envs)
+            if want is None:
+                dataset = Dataset(drawn, kin, envs)
+                assert [dataset.genotype_labels[g] for g in dataset.gen_index_array] \
+                    == [rec.genotype for rec in drawn]
+                assert [envs[e] for e in dataset.env_index_array] \
+                    == [rec.environment for rec in drawn]
+                assert dataset.values.tolist() == [rec.value for rec in drawn]
+                continue
+            with pytest.raises(type(want)) as failure:
+                Dataset(drawn, kin, envs)
+            assert str(failure.value) == str(want)
 
 
 class TestBuildDesign:
@@ -201,6 +264,19 @@ class TestRemlLoglik:
                              str(failure.value))
         assert eigs[0] < 0.0
         assert np.allclose([float(x) for x in reported.groups()], eigs[[0, -1]], rtol=1e-3)
+
+
+    def test_failed_block_factorization_names_its_eigenvalue(self):
+        # Complete data: B_i = -2 d_i I + I first fails at the first d_i >= 1/2.
+        dataset = make_dataset(9, 4, seed=61)
+        sigma, resid = -2.0 * np.eye(4), 1.0
+        ws = reml_core._RemlWorkspace(dataset, MainEffect(4))
+        with pytest.raises(NumericalError, match="d_i") as failure:
+            ws.point(sigma, resid)
+        reported = float(re.search(r"d_i = (\S+)\)", str(failure.value)).group(1))
+        d = dataset.kinship._contrast_basis[0]
+        assert np.isclose(reported, d[np.argmax(resid - 2.0 * d <= 0.0)], rtol=1e-6)
+        assert resid - 2.0 * d[0] > 0.0, "the first blocks must factor"
 
 
 class TestScoreAndAi:
@@ -403,16 +479,18 @@ class TestFit:
         assert result.iterations == 1
 
     @staticmethod
-    def assert_one_factorization_per_point(monkeypatch, complete, module, name):
-        """Fit from far off the optimum, counting calls of ``module.name``,
-        the factorization that path makes: one per point evaluated."""
+    def assert_one_factorization_per_point(monkeypatch, complete):
+        """Fit from far off the optimum, counting potrf calls: one per point
+        evaluated on the dense path, one per p x p block (n - 1 of them) on
+        the spectral path."""
         dist = random_distance(4, seed=25, mean_off=5.0)
         structure = KernelSingleVar(dist)
         dataset = simulated_dataset(structure, [0.3, 1.0], resid_var=0.4, n=40, seed=26)
         if not complete:
             dataset = dataset.subset([r for r in range(dataset.n_records) if r % 3])
         evaluator = reml_core._SpectralPoint if complete else reml_core._PointEvaluation
-        factor = getattr(module, name)
+        per_point = dataset.n - 1 if complete else 1
+        factor = reml_core.lapack.dpotrf
         factored = []
 
         def counting(*args, **kwargs):
@@ -432,7 +510,7 @@ class TestFit:
             logliks.append(evaluation.loglik)
             return evaluation
 
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(reml_core.lapack, "dpotrf", counting)
         monkeypatch.setattr(reml_core._RemlWorkspace, "point", recording)
         result = fit(dataset, structure, init=np.array([5.0, 50.0]))
         n_factored = len(factored)
@@ -444,7 +522,7 @@ class TestFit:
                 rejected += 1
         assert rejected > 0, "the start should force at least one rejected halving"
         assert accepted == result.iterations
-        assert n_factored == 1 + result.iterations + rejected, \
+        assert n_factored == per_point * (1 + result.iterations + rejected), \
             "each accepted point must be factored once, not rebuilt"
 
         # The reused point is the fitted one.
@@ -455,16 +533,12 @@ class TestFit:
         assert np.max(np.abs(result.ai_matrix - ai)) <= 1e-10 * np.max(np.abs(ai))
 
     def test_one_factorization_per_accepted_step(self, monkeypatch):
-        # A complete trial: one batched Cholesky call over the blocks per point.
-        self.assert_one_factorization_per_point(
-            monkeypatch, True, reml_core.scipy.linalg, "cholesky"
-        )
+        # A complete trial: one potrf per p x p block per point.
+        self.assert_one_factorization_per_point(monkeypatch, True)
 
     def test_one_dense_factorization_per_accepted_step(self, monkeypatch):
         # Two thirds of the records: one potrf of the N x N V per point.
-        self.assert_one_factorization_per_point(
-            monkeypatch, False, reml_core.lapack, "dpotrf"
-        )
+        self.assert_one_factorization_per_point(monkeypatch, False)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_trial_counts_as_failed_halving(self, monkeypatch):
@@ -681,6 +755,79 @@ class TestSpectralPath:
         assert np.allclose(spectral.kappa_hat, dense.kappa_hat, rtol=1e-5)
         assert np.isclose(spectral.resid_var_hat, dense.resid_var_hat, rtol=1e-5)
         assert np.allclose(spectral.blup_matrix, dense.blup_matrix, atol=1e-6)
+
+
+class TestSharedDecomposition:
+    """Complete-trial fits on one RelationshipMatrix decompose C^T K C once,
+    and equal, bit for bit, fits on a fresh matrix with the same values."""
+
+    @staticmethod
+    def count_rotations(monkeypatch):
+        calls = []
+        rotate = reml_core._contrast_rotation
+
+        def counting(kin):
+            calls.append(1)
+            return rotate(kin)
+
+        monkeypatch.setattr(reml_core, "_contrast_rotation", counting)
+        return calls
+
+    @staticmethod
+    def assert_same_fit(got, want):
+        for name in ("kappa_hat", "beta_hat", "loglik_trace", "ai_matrix", "blup_matrix"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.resid_var_hat == want.resid_var_hat
+        assert got.iterations == want.iterations
+
+    @staticmethod
+    def on_fresh_kinship(dataset):
+        kin = dataset.kinship
+        fresh = RelationshipMatrix(kin.values.copy(), list(kin.labels))
+        return Dataset(dataset.records, fresh, dataset.environment_labels)
+
+    def test_kernels_on_one_trial(self, monkeypatch):
+        dist = random_distance(4, seed=82, mean_off=4.0)
+        dataset = simulated_dataset(
+            KernelSingleVar(dist), [0.3, 1.0], resid_var=0.5, n=25, seed=83
+        )
+        structures = (KernelSingleVar(dist), KernelMultiVar(dist))
+        calls = self.count_rotations(monkeypatch)
+        shared = [fit(dataset, s) for s in structures]
+        assert len(calls) == 1, "kern1 then kernP on one trial decompose K once"
+        for structure, got in zip(structures, shared):
+            self.assert_same_fit(got, fit(self.on_fresh_kinship(dataset), structure))
+
+    def test_simulated_trials_on_one_kinship(self, monkeypatch):
+        dist = random_distance(3, seed=84, mean_off=4.0)
+        structure = KernelSingleVar(dist)
+        kin = random_kinship(20, seed=85)
+        datasets = [
+            simulate_met(SimConfig(
+                n_genotypes=20, n_markers=80, structure=structure,
+                true_params=np.array([0.3, 1.0]), resid_var=0.5, seed=seed,
+                kinship=kin,
+            )).dataset
+            for seed in (86, 87)
+        ]
+        calls = self.count_rotations(monkeypatch)
+        shared = [fit(dataset, structure) for dataset in datasets]
+        assert len(calls) == 1, "two trials on one kinship decompose it once"
+        for dataset, got in zip(datasets, shared):
+            self.assert_same_fit(got, fit(self.on_fresh_kinship(dataset), structure))
+
+    def test_kinship_cannot_change_under_the_cache(self):
+        kin = random_kinship(5, seed=88)
+        kin._contrast_basis
+        # A pickled copy, as a CV worker receives it, stays read-only too.
+        for copy in (kin, pickle.loads(pickle.dumps(kin))):
+            for array in (copy.values, *copy._contrast_basis):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+            with pytest.raises(ValueError):
+                copy.values *= 2.0
+            with pytest.raises(AttributeError):
+                copy.values = np.eye(5)
 
 
 class TestPredictCells:
