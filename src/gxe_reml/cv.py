@@ -42,7 +42,6 @@ from .env_features import (
     EnvDistanceMatrix,
     blend_correlation,
     correlation_from_covariance,
-    in_label_order,
     random_correlation,
 )
 from .errors import DataError, InvalidInputError, NumericalError
@@ -342,7 +341,7 @@ def run_cv(
     replicate = functools.partial(
         _run_replicate,
         structures=structures,
-        corr=in_label_order(corr, env_labels) if "corr" in needs else None,
+        corr=corr.in_order(env_labels) if "corr" in needs else None,
         design=design,
         sim_config=sim_config,
         dataset=dataset,

@@ -16,47 +16,26 @@ is the environment correlation estimate and
 
 is the squared Euclidean distance driving Gaussian kernels.  Distances and
 correlations are tied through D_ij = q * (Chat_ii + Chat_jj - 2 Chat_ij).
+
+Chat, D and the kinship K (:class:`~gxe_reml.reml_core.RelationshipMatrix`)
+share one contract, ``_LabeledMatrix``: checked once on construction, then
+read-only.  A permuted (``in_order``) or blended matrix is built anew.
 """
 
 from __future__ import annotations
 
-import copy
-import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     DataError,
     EmptyBinError,
+    GxeRemlError,
     InvalidInputError,
     ZeroVarianceError,
 )
-
-logger = logging.getLogger(__name__)
-
-_SYM_TOL = 1e-8
-
-
-def _check_square(values: np.ndarray, labels: Sequence[str], what: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise InvalidInputError(f"{what} must be square, got shape {values.shape}")
-    if len(labels) != values.shape[0]:
-        raise InvalidInputError(
-            f"{what} has {values.shape[0]} rows but {len(labels)} labels"
-        )
-    if len(set(labels)) != len(labels):
-        raise InvalidInputError(f"{what} labels contain duplicates")
-    if not np.all(np.isfinite(values)):
-        raise InvalidInputError(f"{what} contains non-finite entries")
-    gap = float(np.max(np.abs(values - values.T), initial=0.0))
-    if gap > _SYM_TOL:
-        raise InvalidInputError(
-            f"{what} is asymmetric beyond tolerance (max gap {gap:.3e})"
-        )
-    return 0.5 * (values + values.T)
 
 
 @dataclass(frozen=True)
@@ -120,49 +99,97 @@ class EnvFeatureMatrix:
             )
 
 
-@dataclass
-class EnvCorrelationMatrix:
-    """Symmetric environment correlation estimate with labels.
+@dataclass(frozen=True)
+class _LabeledMatrix:
+    """A validated, read-only square matrix with one label per row.
 
-    Construction logs a warning when the diagonal deviates from 1 by more
-    than 0.25.  Matrices derived by :func:`in_label_order` and
-    :func:`blend_correlation` skip the checks, so that warning comes once
-    per input matrix.
+    Construction checks, in this order, that ``values`` is square, has one
+    label per row, no repeated label, only finite entries and asymmetry of
+    at most 1e-8, each failure raising the subclass's ``_error`` naming
+    ``_what``.  It then symmetrizes, runs the subclass's own ``_checked``
+    and stores the result read-only; the fields cannot be reassigned, so
+    anything derived from ``values`` stays valid.
     """
 
     values: np.ndarray
     labels: list[str]
 
+    _what: ClassVar[str]
+    _error: ClassVar[type[GxeRemlError]] = InvalidInputError
+
     def __post_init__(self) -> None:
-        self.values = _check_square(self.values, self.labels, "correlation matrix")
-        diag_gap = float(np.max(np.abs(np.diag(self.values) - 1.0), initial=0.0))
-        if diag_gap > 0.25:
-            logger.warning(
-                "correlation matrix diagonal deviates from 1 by up to %.3g", diag_gap
+        values = np.asarray(self.values, dtype=float)
+        labels = list(self.labels)
+        what, error = self._what, self._error
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise error(f"{what} must be square, got shape {values.shape}")
+        if len(labels) != values.shape[0]:
+            raise error(f"{what} has {values.shape[0]} rows but {len(labels)} labels")
+        if len(set(labels)) != len(labels):
+            raise error(f"{what} labels contain duplicates")
+        if not np.all(np.isfinite(values)):
+            raise error(f"{what} contains non-finite entries")
+        gap = float(np.max(np.abs(values - values.T), initial=0.0))
+        if gap > 1e-8:
+            raise error(f"{what} is asymmetric beyond tolerance (max gap {gap:.3e})")
+        values = self._checked(0.5 * (values + values.T))
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "labels", labels)
+
+    def _checked(self, values: np.ndarray) -> np.ndarray:
+        """The subclass's own checks on the symmetrized ``values``, which it
+        may change in place; returns the values to store."""
+        return values
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays are writeable (a CV worker's copy, say), as are
+        # those of cached properties such as a kinship's contrast basis.
+        for value in state.values():
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
+        self.__dict__.update(state)
+
+    def in_order(self, labels: Sequence[str]):
+        """This matrix with rows and columns permuted into the order of
+        ``labels``, which must be its own labels in some order."""
+        labels = list(labels)
+        if labels == self.labels:
+            return self
+        if sorted(labels) != sorted(self.labels):
+            raise self._error(
+                f"{self._what} labels {self.labels} are not a permutation of {labels}"
             )
+        order = [self.labels.index(lab) for lab in labels]
+        return type(self)(self.values[np.ix_(order, order)], labels)
+
+
+class EnvCorrelationMatrix(_LabeledMatrix):
+    """Symmetric environment correlation estimate with labels, whose
+    diagonal need not be 1 (:func:`env_correlation`'s is not)."""
+
+    _what = "correlation matrix"
 
     @property
     def p(self) -> int:
         return self.values.shape[0]
 
 
-@dataclass
-class EnvDistanceMatrix:
-    """Symmetric squared-distance matrix with zero diagonal and labels."""
+class EnvDistanceMatrix(_LabeledMatrix):
+    """Symmetric squared-distance matrix with zero diagonal and labels;
+    round-off within 1e-10, on the diagonal or below 0, is set to 0."""
 
-    values: np.ndarray
-    labels: list[str]
+    _what = "distance matrix"
 
-    def __post_init__(self) -> None:
-        values = _check_square(self.values, self.labels, "distance matrix")
-        diag = np.diag(values)
-        if np.max(np.abs(diag), initial=0.0) > 1e-10:
+    def _checked(self, values: np.ndarray) -> np.ndarray:
+        if np.max(np.abs(np.diag(values)), initial=0.0) > 1e-10:
             raise InvalidInputError("distance matrix diagonal must be zero")
         if values.min(initial=0.0) < -1e-10:
             raise InvalidInputError("distance matrix contains negative entries")
-        values = np.clip(values, 0.0, None)
+        np.clip(values, 0.0, None, out=values)
         np.fill_diagonal(values, 0.0)
-        self.values = values
+        return values
 
     @property
     def p(self) -> int:
@@ -307,9 +334,7 @@ def env_correlation(features: EnvFeatureMatrix) -> EnvCorrelationMatrix:
     """
     features.check_standardized()
     x = features.values
-    c = x.T @ x / features.q
-    c = 0.5 * (c + c.T)
-    return EnvCorrelationMatrix(c, list(features.environment_labels))
+    return EnvCorrelationMatrix(x.T @ x / features.q, features.environment_labels)
 
 
 def env_distance(features: EnvFeatureMatrix) -> EnvDistanceMatrix:
@@ -321,30 +346,7 @@ def env_distance(features: EnvFeatureMatrix) -> EnvDistanceMatrix:
     x = features.values
     sq = np.einsum("ij,ij->j", x, x)
     d = sq[:, None] + sq[None, :] - 2.0 * (x.T @ x)
-    d = 0.5 * (d + d.T)
-    np.clip(d, 0.0, None, out=d)
-    np.fill_diagonal(d, 0.0)
-    return EnvDistanceMatrix(d, list(features.environment_labels))
-
-
-def in_label_order(
-    matrix: EnvCorrelationMatrix | EnvDistanceMatrix, labels: Sequence[str]
-) -> EnvCorrelationMatrix | EnvDistanceMatrix:
-    """``matrix`` permuted into the order of ``labels``, which its labels
-    must be in some order; InvalidInputError otherwise."""
-    if sorted(matrix.labels) != sorted(labels):
-        raise InvalidInputError(
-            f"matrix labels {matrix.labels} are not the environments {list(labels)}")
-    order = [matrix.labels.index(lab) for lab in labels]
-    return _derived(matrix, matrix.values[np.ix_(order, order)], labels)
-
-
-def _derived(matrix, values: np.ndarray, labels: Sequence[str]):
-    """A copy of ``matrix`` holding ``values`` and ``labels`` permuted or
-    blended from checked matrices, without checking them again."""
-    out = copy.copy(matrix)
-    out.values, out.labels = values, list(labels)
-    return out
+    return EnvDistanceMatrix(d, features.environment_labels)
 
 
 def blend_correlation(
@@ -371,7 +373,7 @@ def blend_correlation(
     d = np.diag(out).copy()
     d[unit] = 1.0
     np.fill_diagonal(out, d)
-    return _derived(corr, out, corr.labels)
+    return EnvCorrelationMatrix(out, corr.labels)
 
 
 def correlation_from_covariance(

@@ -8,15 +8,17 @@ are stripped of surrounding whitespace.  Labeled square matrices are such
 a table whose header holds the column labels after an empty corner cell
 and whose rows each start with their own label, none repeated.  Matrices
 read from disk may be asymmetric up to 1e-8 and are symmetrized; anything
-worse is a data error.  All numeric output uses 17 significant digits so
-cross-run diffs are meaningful.  Every parse error names the file, and the
-row and column where there is one.
+worse is a data error.  A correlation matrix whose diagonal deviates from 1
+by more than 0.25 is read with a warning.  All numeric output uses 17
+significant digits so cross-run diffs are meaningful.  Every parse error
+names the file, and the row and column where there is one.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import logging
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -26,6 +28,8 @@ import numpy as np
 from .env_features import DailyWeatherRecord, EnvCorrelationMatrix, EnvDistanceMatrix
 from .errors import DataError, GxeRemlError
 from .reml_core import CellPrediction, FitResult, PhenotypeRecord, RelationshipMatrix
+
+logger = logging.getLogger(__name__)
 
 FLOAT_FORMAT = "%.17g"
 
@@ -124,34 +128,37 @@ def _cell_rows(matrix: np.ndarray, genotype_labels: Sequence[str],
             yield [gen, env, _fmt(matrix[i, j])]
 
 
-def _read_square(path, what: str) -> tuple[np.ndarray, list[str]]:
+def _read_labeled(path, cls):
+    """A ``cls`` labelled matrix read from ``path``; its errors name the file."""
     values, row_labels, col_labels = read_matrix_csv(path)
     # Every row has the header's cell count, so equal labels make it square.
     if row_labels != col_labels:
-        raise DataError(f"{path}: {what} row labels differ from column labels")
-    return values, row_labels
-
-
-def _wrap(path, build):
+        raise DataError(f"{path}: {cls._what} row labels differ from column labels")
     try:
-        return build()
+        return cls(values, row_labels)
     except GxeRemlError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
 def read_correlation_csv(path) -> EnvCorrelationMatrix:
-    values, labels = _read_square(path, "correlation matrix")
-    return _wrap(path, lambda: EnvCorrelationMatrix(values, labels))
+    """Correlation matrix CSV; logs a warning naming the file when its
+    diagonal deviates from 1 by more than 0.25."""
+    corr = _read_labeled(path, EnvCorrelationMatrix)
+    diag_gap = float(np.max(np.abs(np.diag(corr.values) - 1.0), initial=0.0))
+    if diag_gap > 0.25:
+        logger.warning(
+            "%s: correlation matrix diagonal deviates from 1 by up to %.3g",
+            path, diag_gap,
+        )
+    return corr
 
 
 def read_distance_csv(path) -> EnvDistanceMatrix:
-    values, labels = _read_square(path, "distance matrix")
-    return _wrap(path, lambda: EnvDistanceMatrix(values, labels))
+    return _read_labeled(path, EnvDistanceMatrix)
 
 
 def read_kinship_csv(path) -> RelationshipMatrix:
-    values, labels = _read_square(path, "relationship matrix")
-    return _wrap(path, lambda: RelationshipMatrix(values, labels))
+    return _read_labeled(path, RelationshipMatrix)
 
 
 def write_phenotypes_csv(path, records: Iterable[PhenotypeRecord]) -> None:
@@ -197,21 +204,27 @@ def read_targets_csv(path) -> list[tuple[str, str]]:
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` configuration; '#' starts a comment."""
+    """Flat ``key = value`` configuration; '#' starts a comment and no key
+    may appear twice."""
     try:
         with open(path) as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for i, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
         if "=" not in text:
             raise DataError(f"{path}: line {i}: expected 'key = value', got {text!r}")
-        key, value = text.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in text.split("=", 1))
+        if key in out:
+            raise DataError(
+                f"{path}: key {key!r} appears twice, on lines {line_of[key]} and {i}"
+            )
+        out[key], line_of[key] = value, i
     return out
 
 

@@ -85,6 +85,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas, lapack
 
+from .env_features import _LabeledMatrix
 from .errors import (
     DataError,
     DesignError,
@@ -107,53 +108,27 @@ class PhenotypeRecord:
     value: float
 
 
-@dataclass(frozen=True)
-class RelationshipMatrix:
+class RelationshipMatrix(_LabeledMatrix):
     """Genotype relationship matrix with labels.
 
-    Symmetrized on construction (asymmetry beyond 1e-8 is an error) and
-    required to have minimum eigenvalue >= -1e-8 times the maximum.  The
-    validated ``values`` are read-only and the fields cannot be reassigned,
-    so the contrast eigendecomposition that complete-trial fits share,
-    computed on first use, always describes ``values``.
+    Checked like every labelled input (see ``_LabeledMatrix``), with
+    DataError, and required to have minimum eigenvalue >= -1e-8 times the
+    maximum.  As ``values`` is read-only and the fields cannot be
+    reassigned, the contrast eigendecomposition that complete-trial fits
+    share, computed on first use, always describes ``values``.
     """
 
-    values: np.ndarray
-    labels: list[str]
+    _what = "relationship matrix"
+    _error = DataError
 
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        n = values.shape[0]
-        if values.ndim != 2 or values.shape != (n, n):
-            raise DataError(f"relationship matrix must be square, got {values.shape}")
-        if len(self.labels) != n:
-            raise DataError(
-                f"relationship matrix is {n}x{n} but has {len(self.labels)} labels"
-            )
-        if len(set(self.labels)) != n:
-            raise DataError("relationship matrix labels contain duplicates")
-        if not np.all(np.isfinite(values)):
-            raise DataError("relationship matrix contains non-finite entries")
-        gap = float(np.max(np.abs(values - values.T), initial=0.0))
-        if gap > 1e-8:
-            raise DataError(
-                f"relationship matrix is asymmetric beyond tolerance (max gap {gap:.3e})"
-            )
-        values = 0.5 * (values + values.T)
+    def _checked(self, values: np.ndarray) -> np.ndarray:
         eigs = scipy.linalg.eigvalsh(values, driver="evd", check_finite=False)
         if eigs[0] < -1e-8 * max(float(eigs[-1]), 1e-300):
             raise DataError(
                 f"relationship matrix is not positive semidefinite "
                 f"(min eigenvalue {eigs[0]:.3e}, max {eigs[-1]:.3e})"
             )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __setstate__(self, state: dict) -> None:
-        # Unpickled arrays are writeable (a CV worker's copy, say).
-        for array in (state["values"], *state.get("_contrast_basis", ())):
-            array.setflags(write=False)
-        self.__dict__.update(state)
+        return values
 
     @property
     def n(self) -> int:

@@ -61,7 +61,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .env_features import EnvCorrelationMatrix, EnvDistanceMatrix, in_label_order
+from .env_features import EnvCorrelationMatrix, EnvDistanceMatrix
 from .errors import InvalidInputError
 
 logger = logging.getLogger(__name__)
@@ -100,8 +100,8 @@ def mean_offdiag(dist: EnvDistanceMatrix | np.ndarray) -> float:
 
 
 def _validated_correlation(corr: EnvCorrelationMatrix) -> np.ndarray:
-    """Copy of a correlation matrix, clipped to the PSD cone if needed."""
-    c = corr.values.copy()
+    """Read-only correlation values, or a copy clipped to the PSD cone."""
+    c = corr.values
     eigs = np.linalg.eigvalsh(c)
     tol = 1e-8 * max(1.0, float(eigs[-1]))
     if eigs[0] < -tol:
@@ -323,7 +323,7 @@ class KernelSingleVar(_ScaledBase):
     per_env = False
 
     def __init__(self, dist: EnvDistanceMatrix):
-        super().__init__(dist.p, dist.labels, dist=dist.values.copy())
+        super().__init__(dist.p, dist.labels, dist=dist.values)
 
 
 class KernelMultiVar(_ScaledBase):
@@ -334,7 +334,7 @@ class KernelMultiVar(_ScaledBase):
     per_env = True
 
     def __init__(self, dist: EnvDistanceMatrix):
-        super().__init__(dist.p, dist.labels, dist=dist.values.copy())
+        super().__init__(dist.p, dist.labels, dist=dist.values)
 
 
 class KernelAveraging(VarianceStructure):
@@ -363,7 +363,7 @@ class KernelAveraging(VarianceStructure):
             raise InvalidInputError("grid bandwidths must increase strictly")
         super().__init__(dist.p, [f"weight[{t:g}]" for t in grid], list(dist.labels))
         self.grid = grid
-        self.dist = dist.values.copy()
+        self.dist = dist.values
         self.kernels = [gaussian_kernel(self.dist, t) for t in grid]
 
     def _combine(self, kappa: np.ndarray) -> tuple[float, np.ndarray]:
@@ -459,5 +459,5 @@ def build_structure(
     if matrix is None:
         raise InvalidInputError(f"structure {kind!r} requires a {what} matrix")
     if env_labels is not None:
-        matrix = in_label_order(matrix, env_labels)
+        matrix = matrix.in_order(env_labels)
     return cls(matrix, grid) if cls.takes_grid else cls(matrix)

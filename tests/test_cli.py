@@ -760,6 +760,38 @@ class TestEnvProcessCommand:
         assert len(warned) == 1, \
             "one input matrix, one warning, whatever the replicates and lambdas"
 
+    def test_diagonal_warning_comes_when_the_file_is_read(self, tmp_path, caplog):
+        weather = tmp_path / "weather.csv"
+        self.write_weather(weather, labels=("E01", "E02", "E03"))
+        corr_path = tmp_path / "env_corr.csv"
+        with caplog.at_level("WARNING"):
+            assert main([
+                "env-process", "--weather", str(weather), "--variables", "rain",
+                "--interval", "80", "--window", "0:160",
+                "--out-corr", str(corr_path), "--out-dist", str(tmp_path / "d.csv"),
+            ]) == 0
+        assert not [r for r in caplog.records if "deviates" in r.getMessage()], \
+            "env-process must not warn about the matrix it writes"
+        phen = tmp_path / "phenotypes.csv"
+        rng = np.random.default_rng(63)
+        phen.write_text("genotype,environment,value\n" + "".join(
+            f"g{g},{env},{rng.normal():.6f}\n"
+            for env in ("E01", "E02", "E03") for g in range(4)
+        ))
+        kin_path = tmp_path / "kinship.csv"
+        labels = [f"g{i}" for i in range(4)]
+        gio.write_matrix_csv(kin_path, np.eye(4), labels, labels)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert main([
+                "fit", "--phenotypes", str(phen), "--kinship", str(kin_path),
+                "--structure", "cor1", "--corr", str(corr_path),
+                "--out", str(tmp_path / "fit"),
+            ]) == 0
+        warned = [r.getMessage() for r in caplog.records]
+        warned = [message for message in warned if "deviates" in message]
+        assert len(warned) == 1 and str(corr_path) in warned[0]
+
     def test_unknown_variable(self, tmp_path, capsys):
         weather = tmp_path / "weather.csv"
         self.write_weather(weather)
@@ -805,6 +837,29 @@ class TestConfigFile:
         assert main(["fit", "--config", str(cfg)]) == 1
         assert "not a fit option" in capsys.readouterr().err
 
+    def test_repeated_config_key(self, fit_config, capsys):
+        cfg, out = fit_config
+        cfg.write_text(cfg.read_text() + "max_iter = 200\n")
+        assert main(["fit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "'max_iter'" in err and "lines 6 and 7" in err
+        assert not out.exists()
+
+    def test_repeated_sim_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "truth.cfg"
+        cfg.write_text(
+            "structure = main\np_environments = 3\nn_genotypes = 20\n"
+            "n_markers = 80\nparams = 1.0\nresid_var = 0.5\nn_genotypes = 30\n"
+        )
+        rc = main([
+            "cv", "--sim-config", str(cfg), "--models", "main",
+            "--replicates", "1", "--envs-per-variety", "1",
+            "--checks", "2", "--out", str(tmp_path / "r.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(cfg) in err and "'n_genotypes'" in err and "lines 3 and 7" in err
+
     def test_bad_typed_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "fit.cfg"
         cfg.write_text("max_iter = banana\n")
@@ -824,7 +879,10 @@ class TestConfigFile:
     @pytest.mark.parametrize("key, flag", [("max_iter", "--max-iter"), ("tol", "--tol")])
     def test_config_values_pass_the_flag_checks(self, fit_config, capsys, key, flag):
         cfg, out = fit_config
-        cfg.write_text(cfg.read_text() + f"{key} = 0\n")
+        # the fixture's own max_iter line goes, since a key may appear once
+        kept = [line for line in cfg.read_text().splitlines()
+                if not line.startswith(f"{key} =")]
+        cfg.write_text("\n".join(kept + [f"{key} = 0"]) + "\n")
         assert main(["fit", "--config", str(cfg)]) == 1
         assert flag in capsys.readouterr().err
         assert not out.exists()

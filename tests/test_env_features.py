@@ -1,9 +1,12 @@
 """Tests for the environmental covariate pipeline.
 
 Covers the heat-unit formula, piecewise intercepts, standardization, the
-correlation/distance constructions and their algebraic ties, blending,
-and the weather CSV frontend.
+correlation/distance constructions and their algebraic ties, the contract
+every labelled square matrix keeps, blending, and the weather CSV frontend.
 """
+
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -12,8 +15,11 @@ from gxe_reml import (
     DataError,
     EmptyBinError,
     EnvCorrelationMatrix,
+    EnvDistanceMatrix,
     EnvFeatureMatrix,
+    GxeRemlError,
     InvalidInputError,
+    RelationshipMatrix,
     ZeroVarianceError,
     blend_correlation,
     env_correlation,
@@ -233,6 +239,67 @@ class TestEnvDistance:
         assert np.all(dist.values >= 0.0)
 
 
+# (class, its error, what its messages call it, a valid 3 x 3 instance's values)
+LABELED = [
+    (RelationshipMatrix, DataError, "relationship matrix",
+     [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]),
+    (EnvCorrelationMatrix, InvalidInputError, "correlation matrix",
+     [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]),
+    (EnvDistanceMatrix, InvalidInputError, "distance matrix",
+     [[0.0, 1.0, 4.0], [1.0, 0.0, 2.0], [4.0, 2.0, 0.0]]),
+]
+
+
+def _asymmetric(v):
+    v[0, 1] += 1e-6
+    return v
+
+
+def _non_finite(v):
+    v[0, 1] = v[1, 0] = np.nan
+    return v
+
+
+@pytest.mark.parametrize("cls, error, what, good", LABELED,
+                         ids=[case[0].__name__ for case in LABELED])
+class TestLabeledMatrixContract:
+    LABELS = ["a", "b", "c"]
+
+    @pytest.mark.parametrize("values, labels, wording", [
+        (lambda v: v[:2], LABELS, "must be square"),
+        (lambda v: v, LABELS[:2], "has 3 rows but 2 labels"),
+        (lambda v: v, ["a", "b", "a"], "labels contain duplicates"),
+        (_non_finite, LABELS, "non-finite entries"),
+        (_asymmetric, LABELS, "asymmetric beyond tolerance"),
+    ], ids=["square", "label-count", "duplicate", "finite", "symmetric"])
+    def test_each_check_raises_the_type_error(self, cls, error, what, good,
+                                              values, labels, wording):
+        with pytest.raises(GxeRemlError) as exc:
+            cls(values(np.array(good)), labels)
+        assert type(exc.value) is error
+        assert str(exc.value).startswith(f"{what} ") and wording in str(exc.value)
+
+    def test_read_only_and_frozen_after_pickling(self, cls, error, what, good):
+        matrix = cls(np.array(good), self.LABELS)
+        for copy in (matrix, pickle.loads(pickle.dumps(matrix))):
+            with pytest.raises(ValueError):
+                copy.values[0, 1] = 9.0
+            for name in ("values", "labels"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(copy, name, getattr(copy, name))
+        assert np.array_equal(matrix.values, good)
+
+    def test_in_order_permutes_rows_and_columns(self, cls, error, what, good):
+        matrix = cls(np.array(good), self.LABELS)
+        permuted = matrix.in_order(["c", "a", "b"])
+        assert type(permuted) is cls and permuted.labels == ["c", "a", "b"]
+        order = [2, 0, 1]
+        assert np.array_equal(permuted.values, np.array(good)[np.ix_(order, order)])
+        assert not permuted.values.flags.writeable
+        with pytest.raises(error, match=what):
+            matrix.in_order(["a", "b", "d"])
+
+
 class TestBlendCorrelation:
     def _pair(self, p=4, seed=8):
         truth = env_correlation(standardized_features(12, p, seed))
@@ -266,6 +333,13 @@ class TestBlendCorrelation:
         )
         assert np.array_equal(np.diag(blended.values), np.ones(p)), \
             "unit diagonals on both inputs must survive blending exactly"
+
+    def test_result_is_read_only(self):
+        truth, noise = self._pair()
+        blended = blend_correlation(truth, noise, 0.5)
+        assert type(blended) is EnvCorrelationMatrix
+        with pytest.raises(ValueError):
+            blended.values[0, 1] = 0.0
 
     def test_lambda_range_checked(self):
         truth, noise = self._pair()

@@ -829,6 +829,16 @@ class TestSharedDecomposition:
             with pytest.raises(AttributeError):
                 copy.values = np.eye(5)
 
+    def test_reordering_a_kinship_keeps_the_cache_right(self):
+        kin = random_kinship(5, seed=89)
+        basis = kin._contrast_basis
+        assert kin.in_order(list(kin.labels)) is kin, \
+            "the same order shares the decomposition"
+        flipped = kin.in_order(kin.labels[::-1])
+        assert "_contrast_basis" not in vars(flipped), \
+            "another order is a new matrix that decomposes afresh"
+        assert kin._contrast_basis is basis
+
 
 class TestPredictCells:
     @staticmethod
