@@ -20,6 +20,7 @@ import csv
 import itertools
 import logging
 import os
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -204,8 +205,9 @@ def read_targets_csv(path) -> list[tuple[str, str]]:
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` configuration; '#' starts a comment and no key
-    may appear twice."""
+    """Flat ``key = value`` configuration; no key may appear twice.  '#' starts
+    a comment at the start of a line or after whitespace; elsewhere it is part
+    of the value (``out = results#1``)."""
     try:
         with open(path) as handle:
             lines = handle.readlines()
@@ -214,7 +216,7 @@ def read_config_file(path) -> dict[str, str]:
     out: dict[str, str] = {}
     line_of: dict[str, int] = {}
     for i, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
+        text = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not text:
             continue
         if "=" not in text:

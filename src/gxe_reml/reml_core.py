@@ -28,25 +28,28 @@ smoothly), built from
 
 with Vdot_i = Z (dSigma/dkappa_i kron K) Z^T for structure parameters,
 Vdot = I_N for the residual variance, and Vddot_ij the matching second
-derivatives.  All three reduce to p x p aggregates of P and K over
-environment pairs, so the per-parameter cost is O(p^2) after one O(N^2 p)
-pass.  C, the curvature the average information omits (Gilmour, Thompson
-& Cullis 1995; Meyer & Smith 1996), is zero for parameters that enter
-Sigma linearly and is contracted by ``VarianceStructure.curvature``.
+derivatives.  Score and C need only M = T - (Q + Q^T)/2 and s = tr P -
+y^T P^2 y, T_ab and Q_ab summing (P o K)_rs and (P y)_r K_rs (P y)_s over
+records r in environment a, s in b: score_i = -1/2 sum(dSigma_i o M),
+the residual's is -1/2 s and C = 1/2 ``curvature(kappa, M)``, formed with
+the symmetric AI by the one ``_derivative_tail``.  C, the curvature the
+average information omits (Gilmour, Thompson & Cullis 1995; Meyer &
+Smith 1996), is zero for parameters that enter Sigma linearly.
 
-The step matrix M, on the log scale and the coordinates that move, is the
+The step matrix H, on the log scale and the coordinates that move, is the
 first positive definite one giving a finite step among AI + C, AI and AI
 plus a growing ridge (else the gradient is followed), so every step
 ascends; it is clipped to +-5 and halved until l_R does not decrease.  A
 fit converges when the last accepted gain and the Newton decrement
-g^T M^-1 g (g the log-scale score, before clipping) are both below
+g^T H^-1 g (g the log-scale score, before clipping) are both below
 ``tol``.  ``FitResult.ai_matrix`` stays the plain AI, for standard errors.
 
 Cost per iteration: V is factored once per trial point, and the accepted
 trial's factor is reused for the score and AI matrix.  A fit factors once
 at the start, once per accepted step and once per rejected step halving.
 Two point evaluators do this behind one interface (``loglik``, ``beta``,
-``py``, ``sigma``, ``derivatives``), chosen once per dataset:
+``py``, ``sigma``, ``derivatives``), chosen once per dataset and checked
+for a finite Sigma and l_R by ``_RemlWorkspace.point``:
 
 * ``_PointEvaluation`` serves any record set.  potrf factors the N x N V
   in the buffer it was assembled in, with no copy, and one potrs solves
@@ -61,7 +64,7 @@ Two point evaluators do this behind one interface (``loglik``, ``beta``,
   rows of U^T C^T Y for the n x p phenotype grid Y (p log n = log|X^T X|).
   The eigendecomposition is computed once per kinship and shared by every
   fit on it.  Per trial point, one potrf call factors each block in
-  place, and score, AI and C reduce to p x p sums over them.  The
+  place; P y and beta are formed only when read, once per fit.  The
   contrasts also avoid the cancellation in log|V| + log|X^T V^-1 X| +
   y^T P y as resid_var -> 0 when K 1 = 0 (a centred kinship).
 
@@ -69,14 +72,15 @@ Products and factorizations with an N-sized operand run on SciPy's BLAS
 and LAPACK, by the package's one-pool rule (:mod:`gxe_reml`).
 
 BLUPs at the fitted parameters are u_hat = (Sigma_hat kron K) Z^T P y,
-computed once per fit as the n x p matrix K M Sigma_hat where M scatters
-P y over (genotype, environment) cells.  That is the one BLUP path:
-``FitResult.blup_matrix`` holds the result and :func:`lookup_cells` reads
-cells from it.
+computed once per fit as the n x p matrix K S Sigma_hat, S scattering
+P y over (genotype, environment) cells: the one BLUP path and K S Sigma
+product (a complete trial's beta reads it too).  ``FitResult.blup_matrix``
+holds the result and :func:`lookup_cells` reads cells from it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -283,13 +287,12 @@ def _factor_covariance(
 
     V is exactly symmetric, so its C-ordered buffer is V in Fortran order
     too, and potrf factors it without a copy; ``clean`` zeroes the strict
-    upper triangle.  Only Sigma and diag(V) are checked for finiteness: an
-    off-diagonal overflow leaves V indefinite, which the factorization
-    reports.  Failures raise NumericalError; as potrf has consumed V, the
-    eigenvalue diagnostics rebuild it.
+    upper triangle.  Only diag(V) is checked for finiteness: an off-diagonal
+    overflow leaves V indefinite, which the factorization reports.  Failures
+    raise NumericalError; as potrf has consumed V, the diagnostics rebuild it.
     """
     v = _assemble_covariance(sigma, resid_var, env_idx, k_rec)
-    if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(v.diagonal()))):
+    if not np.all(np.isfinite(v.diagonal())):
         raise NumericalError("covariance matrix is not finite")
     chol, info = lapack.dpotrf(v.T, lower=1, overwrite_a=1, clean=1)
     if info != 0:
@@ -315,11 +318,25 @@ def _chol_inverse(chol_lower: np.ndarray, downdate: np.ndarray) -> np.ndarray:
 
 
 def _cell_blups(dataset: Dataset, weights: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """n x p BLUP matrix K M Sigma, M scattering per-record ``weights``
+    """n x p BLUP matrix K S Sigma, S scattering per-record ``weights``
     (V^-1 times the mean-adjusted phenotypes) over the observed cells."""
-    m = np.zeros((dataset.n, dataset.p), order="F")
-    m[dataset.gen_index_array, dataset.env_index_array] = weights
-    return blas.dgemm(1.0, blas.dgemm(1.0, dataset.kinship.values.T, m), sigma)
+    scattered = np.zeros((dataset.n, dataset.p), order="F")
+    scattered[dataset.gen_index_array, dataset.env_index_array] = weights
+    return blas.dgemm(1.0, blas.dgemm(1.0, dataset.kinship.values.T, scattered), sigma)
+
+
+def _derivative_tail(
+    structure: VarianceStructure, kappa: np.ndarray, derivs, m, s: float, ai
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score vector, average-information matrix and curvature correction
+    (structure params in order, residual variance last) from a point's
+    aggregates: ``m`` = T - Q, whose symmetric part is M, ``s`` and ``ai``,
+    the Gram matrix of the w_i = Vdot_i P y in P (module docstring).  The
+    correction's residual-variance row and column are zero."""
+    m = 0.5 * (m + m.T)
+    corr = np.pad(0.5 * structure.curvature(kappa, m), (0, 1))
+    grad = -0.5 * np.array([np.sum(d * m) for d in derivs] + [s])
+    return grad, 0.25 * (ai + ai.T), corr
 
 
 class _PointEvaluation:
@@ -347,26 +364,15 @@ class _PointEvaluation:
         logdet_a = 2.0 * float(np.sum(np.log(np.diag(chol_a))))
         beta = scipy.linalg.cho_solve((chol_a, True), xt_vi_yx[:, 0], check_finite=False)
         py = blas.dgemv(-1.0, vi_x, beta, beta=1.0, y=vi_y)
-        self.vi_x = vi_x
-        self.chol_a = chol_a
-        self.beta = beta
-        self.py = py
+        self.vi_x, self.chol_a, self.beta, self.py = vi_x, chol_a, beta, py
         self.loglik = -0.5 * (logdet_v + logdet_a + blas.ddot(ws.y, py))
-        if not np.isfinite(self.loglik):
-            raise NumericalError("restricted log-likelihood is not finite")
 
     def derivatives(
         self, structure: VarianceStructure, kappa: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Score vector, average-information matrix and curvature correction
-        (structure params in order, residual variance last), with the
-        derivatives of Sigma taken at ``kappa``.
-
-        The correction is 1/2 [tr(P Vddot_ij) - y^T P Vddot_ij P y]; its
-        residual-variance row and column are zero.  Consumes the Cholesky
-        factor, which potri overwrites with P's lower triangle, so it runs
-        at most once per point.
-        """
+        """:func:`_derivative_tail` at ``kappa``, from P.  Consumes the
+        Cholesky factor, which potri overwrites with P's lower triangle, so
+        it runs at most once per point."""
         ws = self.ws
         derivs = structure.evaluate(kappa).derivs
         # P = V^-1 - V^-1 X A^-1 X^T V^-1 = V^-1 - W^T W, W = L_A^-1 (V^-1 X)^T.
@@ -380,23 +386,17 @@ class _PointEvaluation:
         h = blas.dgemm(1.0, k_rec, epy)
         # N x (k + 1) in Fortran order: Vdot_i P y per structure parameter, then P y.
         w = np.array([(h * d[ws.env_idx]).sum(axis=1) for d in derivs] + [py]).T
-        ai = 0.5 * blas.dgemm(1.0, w, blas.dsymm(1.0, p_low, w, lower=1), trans_a=1)
-        tr_p = np.trace(p_low)
+        ai = blas.dgemm(1.0, w, blas.dsymm(1.0, p_low, w, lower=1), trans_a=1)
+        s = np.trace(p_low) - blas.ddot(py, py)
         # Environment aggregate of P * K from the lower triangle L of P * K:
         # T = E^T L E + (E^T L E)^T - diag(per-environment sums of diag(L)).
         p_low *= k_rec
         t_low = blas.dgemm(1.0, onehot, blas.dgemm(1.0, p_low, onehot), trans_a=1)
         diag_l = np.bincount(ws.env_idx, p_low.diagonal(), len(t_low))
         t_agg = t_low + t_low.T - np.diag(diag_l)
-        tr_vec = np.array([np.sum(d * t_agg) for d in derivs] + [tr_p])
-        # Column sums, not gemv: each entry is then independent of k.
-        grad = -0.5 * (tr_vec - (w * py[:, None]).sum(axis=0))
-        # y^T P Vddot_ij P y = sum_ab (d2 Sigma)_ab Q_ab, Q = (E o P y)^T h.
-        q = blas.dgemm(1.0, epy, h, trans_a=1)
-        k = len(derivs)
-        corr = np.zeros((k + 1, k + 1))
-        corr[:k, :k] = 0.5 * structure.curvature(kappa, t_agg - 0.5 * (q + q.T))
-        return grad, 0.5 * (ai + ai.T), corr
+        # T - Q, Q = (E o P y)^T h.
+        t_q = blas.dgemm(-1.0, epy, h, beta=1.0, c=t_agg, trans_a=1)
+        return _derivative_tail(structure, kappa, derivs, t_q, s, ai)
 
 
 def _is_complete(dataset: Dataset) -> bool:
@@ -429,8 +429,7 @@ class _SpectralPoint:
     def __init__(self, ws: "_RemlWorkspace", sigma: np.ndarray, resid_var: float):
         self.ws = ws
         self.sigma = sigma
-        if not np.all(np.isfinite(sigma)):
-            raise NumericalError("covariance matrix is not finite")
+        self.resid_var = resid_var
         chol = ws.d[:, None, None] * sigma
         chol += resid_var * np.eye(len(sigma))
         # A block whose trace overflows has eigenvalues near the double range.
@@ -449,46 +448,43 @@ class _SpectralPoint:
                     f"block with d_i = {ws.d[i]:.6e})"
                 )
         logdet_v = 2.0 * float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
-        # r_i = B_i^-1 y_i through z_i = L_i^-1 y_i, so y^T P y = sum |z_i|^2.
+        # r_i = B_i^-1 y_i through z_i = U_i y_i, U_i = L_i^-1, so y^T P y = sum |z_i|^2.
         self.inv_chol = inv_chol = np.linalg.inv(chol)
         z = np.einsum("ijk,ik->ij", inv_chol, ws.y_rot)
-        self.r = r = np.einsum("ikj,ik->ij", inv_chol, z)
+        self.r = np.einsum("ikj,ik->ij", inv_chol, z)
         self.loglik = -0.5 * (logdet_v + float(np.sum(z * z)) + ws.logdet_xx)
-        if not np.isfinite(self.loglik):
-            raise NumericalError("restricted log-likelihood is not finite")
-        py_grid = blas.dgemm(1.0, ws.cu, r)
-        self.py = py_grid[ws.gen_idx, ws.env_idx]
+
+    @cached_property
+    def py(self) -> np.ndarray:
+        return blas.dgemm(1.0, self.ws.cu, self.r)[self.ws.gen_idx, self.ws.env_idx]
+
+    @cached_property
+    def beta(self) -> np.ndarray:
         # y - V P y = X beta: per-environment means, in the reference coding.
-        vpy = blas.dgemm(1.0, blas.dgemm(1.0, ws.kin, py_grid), sigma)
-        means = (ws.y_grid - vpy - resid_var * py_grid).mean(axis=0)
-        self.beta = np.concatenate([means[:1], means[1:] - means[0]])
+        ws = self.ws
+        blups = _cell_blups(ws.dataset, self.py, self.sigma)[ws.gen_idx, ws.env_idx]
+        fixed = ws.y - blups - self.resid_var * self.py
+        means = np.bincount(ws.env_idx, fixed) / ws.dataset.n
+        return np.concatenate([means[:1], means[1:] - means[0]])
 
     def derivatives(
         self, structure: VarianceStructure, kappa: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """As :meth:`_PointEvaluation.derivatives`, from the p x p blocks:
-        T = sum_i d_i B_i^-1 and Q = sum_i d_i r_i r_i^T give the traces,
-        and w_i = d_i dSigma r_i (r_i for the residual) the AI matrix."""
-        d, r = self.ws.d, self.r
+        """:func:`_derivative_tail` at ``kappa``, from B_i^-1 = U_i^T U_i:
+        T - Q = sum_i d_i U_i^T U_i - (d r)^T r, tr P = sum_i |U_i|^2 and AI
+        sums (U_i w_i)^T U_i w_i, w_i = d_i dSigma r_i (r_i for resid_var)."""
+        d, r, u = self.ws.d, self.r, self.inv_chol
         derivs = structure.evaluate(kappa).derivs
-        b_inv = np.matmul(self.inv_chol.transpose(0, 2, 1), self.inv_chol)
         dr = r * d[:, None]
-        # sum_i d_i B_i^-1 as a gemv over the flattened blocks, less dr^T r.
-        p = len(self.sigma)
-        t_q = blas.dgemv(1.0, b_inv.reshape(len(d), p * p).T, d).reshape(p, p)
-        t_q = blas.dgemm(-1.0, dr, r, beta=1.0, c=t_q, trans_a=1)
-        t_q = 0.5 * (t_q + t_q.T)
+        # sum_i d_i U_i^T U_i as one product of the stacked sqrt(d_i) U_i.
+        root = (u * np.sqrt(d)[:, None, None]).reshape(-1, len(self.sigma))
+        t_q = blas.dgemm(1.0, root, root, trans_a=1)
+        t_q = blas.dgemm(-1.0, dr, r, beta=1.0, c=t_q, trans_a=1, overwrite_c=1)
         w = np.array([blas.dgemm(1.0, dr, ds) for ds in derivs] + [r])
-        bw = np.einsum("ijk,aik->aij", b_inv, w)
-        ai = 0.5 * np.einsum("aij,bij->ab", w, bw)
-        tr_p = float(np.trace(b_inv, axis1=1, axis2=2).sum())
-        grad = -0.5 * np.array(
-            [np.sum(ds * t_q) for ds in derivs] + [tr_p - float(np.sum(r * r))]
-        )
-        k = len(derivs)
-        corr = np.zeros((k + 1, k + 1))
-        corr[:k, :k] = 0.5 * structure.curvature(kappa, t_q)
-        return grad, 0.5 * (ai + ai.T), corr
+        uw = np.einsum("ijk,aik->aij", u, w).reshape(len(w), -1)
+        ai = blas.dgemm(1.0, uw, uw, trans_b=1)
+        s = float(np.sum(u * u)) - float(np.sum(r * r))
+        return _derivative_tail(structure, kappa, derivs, t_q, s, ai)
 
 
 class _RemlWorkspace:
@@ -516,14 +512,13 @@ class _RemlWorkspace:
         self.y = dataset.values
         self.env_idx = dataset.env_index_array
         self.gen_idx = gen = dataset.gen_index_array
-        kin = dataset.kinship.values
         if _is_complete(dataset):
             self._evaluate = _SpectralPoint
-            self.kin = kin
+            self.dataset = dataset
             self.d, self.cu = dataset.kinship._contrast_basis
-            self.y_grid = np.zeros((dataset.n, dataset.p), order="F")
-            self.y_grid[gen, self.env_idx] = self.y
-            self.y_rot = blas.dgemm(1.0, self.cu, self.y_grid, trans_a=1)
+            y_grid = np.zeros((dataset.n, dataset.p), order="F")
+            y_grid[gen, self.env_idx] = self.y
+            self.y_rot = blas.dgemm(1.0, self.cu, y_grid, trans_a=1)
             # log|X^T X| = p log n for the reference coding of a complete trial.
             self.logdet_xx = dataset.p * np.log(dataset.n)
         else:
@@ -531,13 +526,18 @@ class _RemlWorkspace:
             # [y X] in Fortran order, the right-hand sides of each point's solve.
             self.yx = np.asfortranarray(np.column_stack([self.y, _design_x(dataset)]))
             self.x = self.yx[:, 1:]
-            self.k_rec = np.take(kin[gen], gen, axis=1)
+            self.k_rec = np.take(dataset.kinship.values[gen], gen, axis=1)
             self.env_onehot = np.asfortranarray(np.eye(dataset.p)[self.env_idx])
 
     def point(
         self, sigma: np.ndarray, resid_var: float
     ) -> _PointEvaluation | _SpectralPoint:
-        return self._evaluate(self, sigma, resid_var)
+        if not np.all(np.isfinite(sigma)):
+            raise NumericalError("covariance matrix is not finite")
+        point = self._evaluate(self, sigma, resid_var)
+        if not np.isfinite(point.loglik):
+            raise NumericalError("restricted log-likelihood is not finite")
+        return point
 
 
 @dataclass
@@ -639,10 +639,11 @@ def score_and_ai(
 def _newton_step(ai: np.ndarray, corr: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve M @ step = grad with the first positive definite M, among AI + C,
     AI and AI + r I (r = 1e-8 mean|diag AI| growing x100 over 7 tries), whose
-    step is finite: an ascent step.  Failing all, grad scaled to max 1."""
+    step is finite: an ascent step.  Failing all, grad scaled to max 1.
+    Each M is built only when the one before it fails."""
     ridge = 1e-8 * max(float(np.mean(np.abs(np.diag(ai)))), 1e-300)
-    eye = np.eye(len(grad))
-    for m in [ai + corr, ai] + [ai + ridge * 100.0**i * eye for i in range(7)]:
+    ridged = (ai + ridge * 100.0**i * np.eye(len(grad)) for i in range(7))
+    for m in itertools.chain([ai + corr, ai], ridged):
         try:
             chol = np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
@@ -675,12 +676,9 @@ def fit(
     (``"stalled"``), and exceeding ``max_iter`` (``"max_iter"``), end the
     fit with ``converged=False``.
 
-    Each accepted step factors one trial point, since the accepted point is
-    reused for the derivatives, plus one per rejected halving: the N x N
-    covariance V in one potrf call (``_PointEvaluation``), or on a complete
-    trial its n - 1 p x p blocks in the contrast eigenbasis, one potrf call
-    each (``_SpectralPoint``; module docstring).
-    Trial points whose parameters overflow are skipped without factoring.  A
+    Each accepted step factors one trial point (module docstring), which is
+    reused for the derivatives, plus one per rejected halving.  Trial points
+    whose parameters overflow are skipped without factoring.  A
     parameter at the lower bound pushed further down is left out of the step,
     and a log-scale step is clipped to +-5, or scaled whole to that size when
     clipping would leave it no ascent direction.

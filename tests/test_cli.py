@@ -825,6 +825,22 @@ class TestConfigFile:
         assert params_value(out, "converged") == "0", \
             "config max_iter = 1 must starve the fit"
 
+    def test_hash_inside_a_value_is_kept(self, fit_config, tmp_path):
+        # '#' starts a comment only at the start of a line or after whitespace.
+        cfg, _ = fit_config
+        out = tmp_path / "results#1" / "fit"
+        lines = [line for line in cfg.read_text().splitlines()
+                 if not line.startswith(("out", "max_iter"))]
+        cfg.write_text("\n".join(
+            ["# a fit whose directory name holds a '#'", *lines,
+             f"out = {out}", "max_iter = 10  # note"]
+        ) + "\n")
+        assert main(["fit", "--config", str(cfg)]) == 0, \
+            "the trailing note must not reach --max-iter"
+        assert (out / "params.csv").is_file()
+        assert not (tmp_path / "results").exists()
+        assert int(params_value(out, "iterations")) <= 10
+
     def test_explicit_flags_override_config(self, fit_config):
         cfg, out = fit_config
         assert main(["fit", "--config", str(cfg), "--max-iter", "100"]) == 0

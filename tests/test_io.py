@@ -315,3 +315,12 @@ class TestReaderErrors:
 
     def test_missing_file(self, tmp_path):
         self.raises(gio.read_phenotypes_csv, tmp_path / "nope.csv", "cannot read")
+
+
+def test_config_comment_starts_at_a_line_start_or_after_whitespace(tmp_path):
+    path = write_text(tmp_path / "c.cfg", "# header", "  # indented", "",
+                      "out = results#1/fit", "max_iter = 10  # note",
+                      "tol = 1e-6\t# after a tab")
+    assert gio.read_config_file(path) == {
+        "out": "results#1/fit", "max_iter": "10", "tol": "1e-6"
+    }

@@ -7,6 +7,7 @@ point.  Examples are derandomized so every run checks the same instances.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,7 @@ from helpers import (
     gaussian_reference_corr,
     make_dataset,
     random_distance,
+    structure_zoo,
 )
 
 SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -174,3 +176,33 @@ def test_frozen_bandwidth_kern1_is_cor1(instance, theta):
     assert abs(frozen.loglik - plain.loglik) < 1e-6
     assert_close(frozen.loglik, dense_reml(dataset, fixed_c.sigma(plain.kappa_hat),
                                            plain.resid_var_hat), 1e-10, "fitted loglik")
+
+
+def point_pieces(dataset, structure, kappa, resid):
+    """The evaluator class and every piece a fit reads at one point."""
+    point = reml_core._RemlWorkspace(dataset, structure).point(structure.sigma(kappa), resid)
+    grad, ai, corr = point.derivatives(structure, kappa)
+    blups = reml_core._cell_blups(dataset, point.py, point.sigma)
+    return type(point), {"loglik": point.loglik, "beta": point.beta, "score": grad,
+                         "AI": ai, "C": corr, "BLUPs": blups}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 12), st.integers(2, 5), st.integers(0, 6),
+       st.integers(0, 2**20), st.floats(0.05, 5.0))
+def test_complete_trial_points_agree(n, p, kind, seed, resid):
+    # The contrast-eigenbasis point against the dense one, forced on the
+    # same complete trial.
+    dataset = make_dataset(n, p, seed=seed)
+    structure, draw = structure_zoo(p, seed)[kind]
+    kappa = draw(np.random.default_rng(seed))
+    evaluator, spectral = point_pieces(dataset, structure, kappa, resid)
+    assert evaluator is reml_core._SpectralPoint
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reml_core, "_is_complete", lambda d: False)
+        evaluator, dense = point_pieces(dataset, structure, kappa, resid)
+    assert evaluator is reml_core._PointEvaluation
+    for name, want in dense.items():
+        got, want = np.asarray(spectral[name]), np.asarray(want)
+        err = np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+        assert err < 1e-8, f"{structure.kind}: {name} off by {err:.2e}"
