@@ -44,7 +44,7 @@ from .env_features import (
     correlation_from_covariance,
     random_correlation,
 )
-from .errors import DataError, InvalidInputError, NumericalError
+from .errors import GxeRemlError, InvalidInputError
 from .reml_core import Dataset, fit, lookup_cells
 from .simulator import SimConfig, simulate_met
 from .variance_structures import (
@@ -248,7 +248,7 @@ def _run_replicate(
             started = time.perf_counter()
             try:
                 result = fit(train, structure, max_iter=max_iter, tol=tol)
-            except (NumericalError, DataError) as exc:
+            except GxeRemlError as exc:
                 elapsed = time.perf_counter() - started
                 logger.warning(
                     "replicate %d model %s lambda %g: fit failed: %s",
@@ -300,8 +300,9 @@ def run_cv(
     distances when it is kernel-based.  ``lambdas`` blends ``corr`` toward a
     per-replicate random correlation matrix for the correlation-based
     models, which are rebuilt for each lambda > 0; other models record
-    lambda 0.  Individual fit failures are recorded as non-converged rows,
-    never aborting the replicate.
+    lambda 0.  A fit that raises any package error (``GxeRemlError``) is
+    logged and recorded as a non-converged row, never aborting the
+    replicate.
 
     Args:
         models: Distinct structure kinds; each row's ``model`` is its kind.

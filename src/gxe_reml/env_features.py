@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DataError,
@@ -163,6 +164,24 @@ class _LabeledMatrix:
             )
         order = [self.labels.index(lab) for lab in labels]
         return type(self)(self.values[np.ix_(order, order)], labels)
+
+
+def _psd_eigh(values: np.ndarray, what: str, error: type[GxeRemlError],
+              vectors: bool = False):
+    """Ascending eigenvalues of the symmetric ``values`` (with eigenvectors,
+    as ``(eigs, vecs)``, if ``vectors``) on SciPy's LAPACK, by the one-pool
+    rule.  The package's one PSD rule, for the kinship, the correlation and
+    the simulated truth: raises ``error`` naming ``what`` if the smallest
+    eigenvalue is below -1e-8 times the largest."""
+    out = scipy.linalg.eigh(values, eigvals_only=not vectors, driver="evd",
+                            check_finite=False)
+    eigs = out[0] if vectors else out
+    if eigs[0] < -1e-8 * max(float(eigs[-1]), 1e-300):
+        raise error(
+            f"{what} is not positive semidefinite "
+            f"(min eigenvalue {eigs[0]:.3e}, max {eigs[-1]:.3e})"
+        )
+    return out
 
 
 class EnvCorrelationMatrix(_LabeledMatrix):

@@ -89,7 +89,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas, lapack
 
-from .env_features import _LabeledMatrix
+from .env_features import _LabeledMatrix, _psd_eigh
 from .errors import (
     DataError,
     DesignError,
@@ -116,22 +116,18 @@ class RelationshipMatrix(_LabeledMatrix):
     """Genotype relationship matrix with labels.
 
     Checked like every labelled input (see ``_LabeledMatrix``), with
-    DataError, and required to have minimum eigenvalue >= -1e-8 times the
-    maximum.  As ``values`` is read-only and the fields cannot be
-    reassigned, the contrast eigendecomposition that complete-trial fits
-    share, computed on first use, always describes ``values``.
+    DataError, and required to be positive semidefinite by the package's
+    one rule (``_psd_eigh``).  As ``values`` is read-only and the fields
+    cannot be reassigned, the contrast eigendecomposition that
+    complete-trial fits share, computed on first use, always describes
+    ``values``.
     """
 
     _what = "relationship matrix"
     _error = DataError
 
     def _checked(self, values: np.ndarray) -> np.ndarray:
-        eigs = scipy.linalg.eigvalsh(values, driver="evd", check_finite=False)
-        if eigs[0] < -1e-8 * max(float(eigs[-1]), 1e-300):
-            raise DataError(
-                f"relationship matrix is not positive semidefinite "
-                f"(min eigenvalue {eigs[0]:.3e}, max {eigs[-1]:.3e})"
-            )
+        _psd_eigh(values, self._what, DataError)
         return values
 
     @property
@@ -564,7 +560,6 @@ class FitResult:
     termination: str
     iterations: int
     boundary_params: list[str] = field(default_factory=list)
-    fixed_params: dict[int, float] = field(default_factory=dict)
 
     @property
     def loglik(self) -> float:
@@ -687,6 +682,8 @@ def fit(
         dataset: Observed records plus kinship.
         structure: Environment-side covariance parameterization.
         init: Starting kappa; default ``structure.initial_params(var(y))``.
+            The structure checks it, and again with the ``fixed`` values
+            put in: one finite, positive value per parameter.
         resid_init: Starting residual variance; default 0.5 * var(y).
         max_iter: Maximum accepted updates.
         tol: Convergence tolerance on the log-likelihood gain and on the
@@ -709,15 +706,8 @@ def fit(
     if y_var <= 0.0:
         raise DataError("phenotype variance is zero; nothing to decompose")
     k = structure.n_params
-    kappa = (
-        structure.initial_params(y_var)
-        if init is None
-        else np.atleast_1d(np.asarray(init, dtype=float)).copy()
-    )
-    if kappa.shape != (k,):
-        raise InvalidInputError(
-            f"init has shape {kappa.shape}, expected ({k},)"
-        )
+    start = structure.initial_params(y_var) if init is None else init
+    kappa = structure._check_kappa(start, strict=True).copy()
     resid = 0.5 * y_var if resid_init is None else float(resid_init)
     if not np.isfinite(resid) or resid <= 0.0:
         raise InvalidInputError(f"resid_init must be positive, got {resid}")
@@ -727,13 +717,8 @@ def fit(
             raise InvalidInputError(
                 f"fixed parameter index {idx} out of range for {k} parameters"
             )
-        if not np.isfinite(value) or value <= 0.0:
-            raise InvalidInputError(
-                f"fixed value for parameter {idx} must be positive, got {value}"
-            )
         kappa[idx] = value
-    if np.any(~np.isfinite(kappa)) or np.any(kappa <= 0.0):
-        raise InvalidInputError("initial parameters must be positive and finite")
+    structure._check_kappa(kappa, strict=True)
 
     params = np.concatenate([kappa, [resid]])
     free = np.array([i not in fixed for i in range(k)] + [True])
@@ -814,7 +799,6 @@ def fit(
         termination=termination,
         iterations=iterations,
         boundary_params=boundary,
-        fixed_params=fixed,
     )
 
 

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import blas, lapack
 
+from .env_features import _psd_eigh
 from .errors import InvalidInputError, NumericalError
 from .reml_core import Dataset, PhenotypeRecord, RelationshipMatrix
 from .variance_structures import VarianceStructure
@@ -151,14 +151,9 @@ def kinship_from_markers(
     return RelationshipMatrix(k, list(labels))
 
 
-def _root_from_eigh(eigs: np.ndarray, vecs: np.ndarray, what: str) -> np.ndarray:
-    """A factor L with L L^T = V diag(eigs) V^T, negative round-off set to 0."""
-    floor = -1e-8 * max(float(eigs[-1]), 1e-300)
-    if eigs[0] < floor:
-        raise NumericalError(
-            f"{what} is not positive semidefinite "
-            f"(min eigenvalue {eigs[0]:.3e}); cannot factor degenerate truth"
-        )
+def _eigen_root(mat: np.ndarray, what: str) -> np.ndarray:
+    """A factor L with L L^T = mat, negative round-off set to 0."""
+    eigs, vecs = _psd_eigh(mat, what, NumericalError, vectors=True)
     return vecs * np.sqrt(np.clip(eigs, 0.0, None))
 
 
@@ -168,19 +163,14 @@ def _psd_factor(mat: np.ndarray, what: str) -> np.ndarray:
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        pass
-    return _root_from_eigh(*np.linalg.eigh(mat), what)
+        return _eigen_root(mat, what)
 
 
 def _kinship_factor(kin: np.ndarray) -> np.ndarray:
     """As :func:`_psd_factor`, for the n x n kinship on SciPy's LAPACK
     (the package's one-pool rule)."""
     chol, info = lapack.dpotrf(kin, lower=1)
-    if info == 0:
-        return chol
-    return _root_from_eigh(
-        *scipy.linalg.eigh(kin, driver="evd", check_finite=False), "kinship"
-    )
+    return chol if info == 0 else _eigen_root(kin, "kinship")
 
 
 def simulate_met(config: SimConfig) -> SimOutput:

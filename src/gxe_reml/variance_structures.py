@@ -61,7 +61,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .env_features import EnvCorrelationMatrix, EnvDistanceMatrix
+from .env_features import EnvCorrelationMatrix, EnvDistanceMatrix, _psd_eigh
 from .errors import InvalidInputError
 
 logger = logging.getLogger(__name__)
@@ -102,20 +102,13 @@ def mean_offdiag(dist: EnvDistanceMatrix | np.ndarray) -> float:
 def _validated_correlation(corr: EnvCorrelationMatrix) -> np.ndarray:
     """Read-only correlation values, or a copy clipped to the PSD cone."""
     c = corr.values
-    eigs = np.linalg.eigvalsh(c)
-    tol = 1e-8 * max(1.0, float(eigs[-1]))
-    if eigs[0] < -tol:
-        raise InvalidInputError(
-            f"correlation matrix is not positive semidefinite "
-            f"(smallest eigenvalue {eigs[0]:.3e})"
-        )
-    if eigs[0] < 0.0:
-        w, v = np.linalg.eigh(c)
+    w, v = _psd_eigh(c, "correlation matrix", InvalidInputError, vectors=True)
+    if w[0] < 0.0:
         c = (v * np.clip(w, 0.0, None)) @ v.T
         c = 0.5 * (c + c.T)
         logger.warning(
             "correlation matrix clipped to positive semidefinite "
-            "(smallest eigenvalue was %.3e)", float(eigs[0]),
+            "(smallest eigenvalue was %.3e)", float(w[0]),
         )
     return c
 

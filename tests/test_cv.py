@@ -10,6 +10,7 @@ import pytest
 from gxe_reml import cv, reml_core
 from gxe_reml import (
     CorrSingleVar,
+    DesignError,
     EnvCorrelationMatrix,
     InvalidInputError,
     KernelAveraging,
@@ -420,6 +421,36 @@ class TestRunCv:
         ]
         assert expected, "this design must drive some parameter to its bound"
         assert [rec.getMessage() for rec in caplog.records] == expected
+
+    def test_any_package_error_in_a_fit_is_a_failed_row(self, monkeypatch,
+                                                        caplog):
+        real_fit = cv.fit
+
+        def failing_fit(train, structure, **kwargs):
+            if structure.kind == "diag":
+                raise DesignError("no estimable contrast")
+            return real_fit(train, structure, **kwargs)
+
+        monkeypatch.setattr(cv, "fit", failing_fit)
+        with caplog.at_level("WARNING", logger="gxe_reml"):
+            report = run_cv(
+                ["main", "diag"],
+                design(2, 1, replicates=2, seed=57),
+                sim_config=tiny_sim_config(seed=58),
+                jobs=1,
+            )
+        assert [(r.model, r.replicate) for r in report] == [
+            ("main", 0), ("diag", 0), ("main", 1), ("diag", 1)
+        ]
+        failed = [r for r in report if r.model == "diag"]
+        assert not any(r.converged for r in failed)
+        assert all(math.isnan(r.mean_pearson) and math.isnan(r.mean_rmse)
+                   for r in failed)
+        assert [rec.getMessage() for rec in caplog.records
+                if "fit failed" in rec.getMessage()] == [
+            f"replicate {rep} model diag lambda 0: fit failed: no estimable contrast"
+            for rep in (0, 1)
+        ]
 
     def test_input_validation(self):
         d = design(2, 1, replicates=1, seed=44)

@@ -2,7 +2,8 @@
 
 Covers the heat-unit formula, piecewise intercepts, standardization, the
 correlation/distance constructions and their algebraic ties, the contract
-every labelled square matrix keeps, blending, and the weather CSV frontend.
+every labelled square matrix keeps, the one positive-semidefiniteness rule,
+blending, and the weather CSV frontend.
 """
 
 import dataclasses
@@ -11,7 +12,9 @@ import pickle
 import numpy as np
 import pytest
 
+from gxe_reml import simulator
 from gxe_reml import (
+    CorrSingleVar,
     DataError,
     EmptyBinError,
     EnvCorrelationMatrix,
@@ -19,6 +22,7 @@ from gxe_reml import (
     EnvFeatureMatrix,
     GxeRemlError,
     InvalidInputError,
+    NumericalError,
     RelationshipMatrix,
     ZeroVarianceError,
     blend_correlation,
@@ -298,6 +302,58 @@ class TestLabeledMatrixContract:
         assert not permuted.values.flags.writeable
         with pytest.raises(error, match=what):
             matrix.in_order(["a", "b", "d"])
+
+
+def _kinship(values):
+    return RelationshipMatrix(values, ["a", "b", "c"]).values
+
+
+def _correlation(values):
+    corr = EnvCorrelationMatrix(values, ["a", "b", "c"])
+    return CorrSingleVar(corr).sigma(np.array([1.0]))
+
+
+def _truth_root(values):
+    root = simulator._eigen_root(values, "truth covariance")
+    return root @ root.T
+
+
+@pytest.mark.parametrize("decide, error, what, clips", [
+    (_kinship, DataError, "relationship matrix", False),
+    (_correlation, InvalidInputError, "correlation matrix", True),
+    (_truth_root, NumericalError, "truth covariance", False),
+], ids=["kinship", "correlation", "simulated-truth"])
+class TestOnePsdRule:
+    """Every positive-semidefiniteness decision in the package lets the
+    smallest eigenvalue reach -1e-8 times the largest, and no further."""
+
+    @staticmethod
+    def nudged(ratio):
+        """A 3 x 3 matrix with eigenvalues ratio * 2, 1 and 2."""
+        q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))
+        v = (q * np.array([ratio * 2.0, 1.0, 2.0])) @ q.T
+        return 0.5 * (v + v.T)
+
+    def test_accepts_round_off_inside_the_tolerance(self, decide, error, what,
+                                                    clips, caplog):
+        values = self.nudged(-0.5e-8)
+        with caplog.at_level("WARNING", logger="gxe_reml"):
+            used = decide(values)
+        assert np.allclose(used, values, rtol=0.0, atol=1e-7)
+        warned = [rec for rec in caplog.records if "clipped" in rec.getMessage()]
+        assert len(warned) == clips
+        if clips:
+            assert np.linalg.eigvalsh(used)[0] >= -1e-15
+
+    def test_rejects_beyond_it_naming_both_eigenvalues(self, decide, error,
+                                                       what, clips):
+        with pytest.raises(GxeRemlError) as exc:
+            decide(self.nudged(-2e-8))
+        assert type(exc.value) is error
+        assert str(exc.value) == (
+            f"{what} is not positive semidefinite "
+            f"(min eigenvalue -4.000e-08, max 2.000e+00)"
+        )
 
 
 class TestBlendCorrelation:

@@ -710,6 +710,19 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             fit(dataset, MainEffect(2), fixed={5: 1.0})
 
+    @pytest.mark.parametrize("start, name", [
+        ({"init": np.array([0.5, -1.0])}, "var"),
+        ({"fixed": {0: 0.0}}, "bandwidth"),
+    ], ids=["negative-init", "zero-fixed"])
+    def test_structure_checks_the_start(self, start, name):
+        # init, and init with the fixed values put in, pass the structure's
+        # own parameter check, whose errors name the kind and the parameter.
+        structure = KernelSingleVar(random_distance(2, seed=43))
+        dataset = make_dataset(4, 2, seed=42, env_labels=list(structure.env_labels))
+        with pytest.raises(InvalidInputError,
+                           match=f"^kern1 parameter '{name}' must be positive"):
+            fit(dataset, structure, **start)
+
 
 class TestSpectralPath:
     """Complete trials are evaluated in the contrast eigenbasis; the dense
