@@ -381,8 +381,9 @@ def _cmd_fit(args: argparse.Namespace) -> None:
     )
     if not result.converged:
         logger.warning(
-            "fit did not converge (stopped after %d of at most %d iterations); "
-            "results written anyway", result.iterations, args.max_iter,
+            "fit did not converge (%s after %d of at most %d iterations); "
+            "results written anyway", result.termination, result.iterations,
+            args.max_iter,
         )
     if result.boundary_params:
         logger.warning(

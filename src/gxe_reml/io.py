@@ -281,7 +281,11 @@ def read_fit_dir(fit_dir) -> StoredFit:
     """Load a fit directory written by :func:`write_fit_dir`."""
     params_path = os.path.join(fit_dir, "params.csv")
     _, rows = _read_table(params_path, ["name", "value"])
-    params = {name: _parse_float(v, params_path, i, "value") for i, (name, v) in rows}
+    params: dict[str, float] = {}
+    for i, (name, v) in rows:
+        if name in params:
+            raise DataError(f"{params_path}: row {i}: duplicate entry {name!r}")
+        params[name] = _parse_float(v, params_path, i, "value")
     blups_path = os.path.join(fit_dir, "blups.csv")
     _, rows = _read_table(blups_path, ["genotype", "environment", "blup"])
     cells: dict[tuple[str, str], float] = {}

@@ -5,11 +5,14 @@ The model for N observed genotype-environment cells is
     y = X beta + Z u + eps,    u ~ N(0, Sigma(kappa) kron K),
                                eps ~ N(0, resid_var * I_N),
 
-where X codes per-environment means (intercept plus reference-level
-environment indicators), K is the n x n genomic relationship matrix, and
-Sigma(kappa) is a p x p environment-side covariance supplied by a
-:class:`~gxe_reml.variance_structures.VarianceStructure`.  The restricted
-log-likelihood is
+where X = E, the N x p environment indicator matrix, so that the fit
+estimates beta as the per-environment means, K is the n x n genomic
+relationship matrix, and Sigma(kappa) is a p x p environment-side
+covariance supplied by a
+:class:`~gxe_reml.variance_structures.VarianceStructure`.  ``fit`` reports
+beta in reference coding (``FitResult.beta_hat``): l_R below does not
+depend on how X codes the means, as recoding X by a unit-triangular T
+adds log|T|^2 = 0 to log|X^T V^-1 X|.  The restricted log-likelihood is
 
     l_R = -1/2 * [log|V| + log|X^T V^-1 X| + y^T P y],
 
@@ -81,6 +84,7 @@ holds the result and :func:`lookup_cells` reads cells from it.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -240,23 +244,6 @@ class Dataset:
         return Dataset(recs, self.kinship, self.environment_labels)
 
 
-def _design_x(dataset: Dataset) -> np.ndarray:
-    """Intercept plus reference-level environment indicators (p columns)."""
-    counts = np.bincount(dataset.env_index_array, minlength=dataset.p)
-    missing = np.nonzero(counts == 0)[0]
-    if missing.size:
-        lab = dataset.environment_labels[int(missing[0])]
-        raise DesignError(
-            f"environment {lab!r} has no records; its mean is not estimable"
-        )
-    n_rec, p = dataset.n_records, dataset.p
-    x = np.zeros((n_rec, p))
-    x[:, 0] = 1.0
-    rows = np.nonzero(dataset.env_index_array > 0)[0]
-    x[rows, dataset.env_index_array[rows]] = 1.0
-    return x
-
-
 def _condition_diagnostics(v: np.ndarray) -> str:
     try:
         eigs = scipy.linalg.eigvalsh(v, driver="evd")
@@ -377,7 +364,7 @@ class _PointEvaluation:
         self.chol = None
         py = self.py
         # K is exactly symmetric, so k_rec.T is k_rec in P's (Fortran) layout.
-        k_rec, onehot = ws.k_rec.T, ws.env_onehot
+        k_rec, onehot = ws.k_rec.T, ws.x
         epy = onehot * py[:, None]
         h = blas.dgemm(1.0, k_rec, epy)
         # N x (k + 1) in Fortran order: Vdot_i P y per structure parameter, then P y.
@@ -456,12 +443,11 @@ class _SpectralPoint:
 
     @cached_property
     def beta(self) -> np.ndarray:
-        # y - V P y = X beta: per-environment means, in the reference coding.
+        # y - V P y = E beta: the per-environment means.
         ws = self.ws
         blups = _cell_blups(ws.dataset, self.py, self.sigma)[ws.gen_idx, ws.env_idx]
         fixed = ws.y - blups - self.resid_var * self.py
-        means = np.bincount(ws.env_idx, fixed) / ws.dataset.n
-        return np.concatenate([means[:1], means[1:] - means[0]])
+        return np.bincount(ws.env_idx, fixed) / ws.dataset.n
 
     def derivatives(
         self, structure: VarianceStructure, kappa: np.ndarray
@@ -515,15 +501,22 @@ class _RemlWorkspace:
             y_grid = np.zeros((dataset.n, dataset.p), order="F")
             y_grid[gen, self.env_idx] = self.y
             self.y_rot = blas.dgemm(1.0, self.cu, y_grid, trans_a=1)
-            # log|X^T X| = p log n for the reference coding of a complete trial.
+            # log|X^T X| = log|n I_p| = p log n: n records in each environment.
             self.logdet_xx = dataset.p * np.log(dataset.n)
         else:
             self._evaluate = _PointEvaluation
-            # [y X] in Fortran order, the right-hand sides of each point's solve.
-            self.yx = np.asfortranarray(np.column_stack([self.y, _design_x(dataset)]))
+            counts = np.bincount(self.env_idx, minlength=dataset.p)
+            if counts.min() == 0:
+                lab = dataset.environment_labels[int(counts.argmin())]
+                raise DesignError(
+                    f"environment {lab!r} has no records; its mean is not estimable"
+                )
+            # [y X] in Fortran order for each point's solve; X = E, the environment
+            # indicators, also sums the derivatives' record terms by environment.
+            e = np.eye(dataset.p)[self.env_idx]
+            self.yx = np.asfortranarray(np.column_stack([self.y, e]))
             self.x = self.yx[:, 1:]
             self.k_rec = np.take(dataset.kinship.values[gen], gen, axis=1)
-            self.env_onehot = np.asfortranarray(np.eye(dataset.p)[self.env_idx])
 
     def point(
         self, sigma: np.ndarray, resid_var: float
@@ -545,6 +538,9 @@ class FitResult:
     failed) or ``"max_iter"``.  Only ``"tol"`` counts as ``converged``.
     ``blup_matrix`` is n x p: row i is ``genotype_labels[i]``, column j is
     ``environment_labels[j]``.  :func:`lookup_cells` reads cells from it.
+    ``beta_hat`` is in reference coding: ``beta_hat[0]`` is the first
+    environment's mean and ``beta_hat[j]`` environment j's mean minus it;
+    :meth:`environment_means` undoes the coding.
     """
 
     structure: VarianceStructure
@@ -649,6 +645,14 @@ def _newton_step(ai: np.ndarray, corr: np.ndarray, grad: np.ndarray) -> np.ndarr
     return grad / max(float(np.max(np.abs(grad))), 1e-300)
 
 
+def _as_index(value, what: str) -> int:
+    """``value`` as an int, for any integer type (NumPy's too)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+
+
 def fit(
     dataset: Dataset,
     structure: VarianceStructure,
@@ -697,6 +701,7 @@ def fit(
         the plain AI matrix (without C) at the final point, and BLUPs
         u_hat = (Sigma_hat kron K) Z^T P y.
     """
+    max_iter = _as_index(max_iter, "max_iter")
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
     if not np.isfinite(tol) or tol <= 0.0:
@@ -711,7 +716,7 @@ def fit(
     resid = 0.5 * y_var if resid_init is None else float(resid_init)
     if not np.isfinite(resid) or resid <= 0.0:
         raise InvalidInputError(f"resid_init must be positive, got {resid}")
-    fixed = dict(fixed or {})
+    fixed = {_as_index(i, "fixed parameter index"): v for i, v in (fixed or {}).items()}
     for idx, value in fixed.items():
         if not 0 <= idx < k:
             raise InvalidInputError(
@@ -785,11 +790,12 @@ def fit(
         trace.append(cur.loglik)
         iterations += 1
 
+    means = cur.beta
     return FitResult(
         structure=structure,
         kappa_hat=params[:k],
         resid_var_hat=float(params[k]),
-        beta_hat=cur.beta,
+        beta_hat=np.concatenate([means[:1], means[1:] - means[0]]),
         loglik_trace=np.asarray(trace),
         ai_matrix=ai,
         param_names=param_names,

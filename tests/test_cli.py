@@ -299,6 +299,7 @@ class TestFitCommand:
         (message,) = [r.getMessage() for r in caplog.records
                       if "did not converge" in r.getMessage()]
         assert "after 0 of at most 50 iterations" in message
+        assert "stalled" in message
 
     def test_fit_logs_clamped_parameters_once(self, tmp_path, workspace, caplog):
         # The fixture's fit drives resid_var to its bound (see above).

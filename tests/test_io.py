@@ -258,6 +258,13 @@ class TestReaderErrors:
         self.break_fit_file(fit_dir, "params.csv", "name,value", "resid_var,big")
         self.raises(gio.read_fit_dir, fit_dir, "params.csv", "row 2", "'value'", "big")
 
+    def test_params_duplicate_row(self, fit_dir):
+        # A second row must not silently win: every prediction would shift.
+        self.break_fit_file(fit_dir, "params.csv", "name,value", "resid_var,1",
+                            "beta[intercept],1", "beta[intercept],99")
+        self.raises(gio.read_fit_dir, fit_dir, "params.csv", "row 4", "duplicate",
+                    "'beta[intercept]'")
+
     def test_blups_header(self, fit_dir):
         self.break_fit_file(fit_dir, "blups.csv", "genotype,environment,value",
                             "g000,E0,1")

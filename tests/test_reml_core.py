@@ -710,6 +710,22 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             fit(dataset, MainEffect(2), fixed={5: 1.0})
 
+    def test_non_integer_max_iter_rejected(self):
+        # 1.5 passes max_iter >= 1 but no iteration count ever equals it.
+        dataset = make_dataset(30, 4, seed=3)
+        with pytest.raises(InvalidInputError,
+                           match=r"^max_iter must be an integer, got 1\.5$"):
+            fit(dataset, DiagonalVariance(4), max_iter=1.5)
+        assert fit(dataset, DiagonalVariance(4), max_iter=np.int64(1)).iterations == 1
+
+    def test_non_integer_fixed_index_rejected(self):
+        dataset = make_dataset(4, 2, seed=42)
+        with pytest.raises(InvalidInputError,
+                           match=r"^fixed parameter index must be an integer, got 0\.5$"):
+            fit(dataset, MainEffect(2), fixed={0.5: 1.0})
+        frozen = fit(dataset, MainEffect(2), fixed={np.int64(0): 0.7})
+        assert frozen.kappa_hat[0] == 0.7
+
     @pytest.mark.parametrize("start, name", [
         ({"init": np.array([0.5, -1.0])}, "var"),
         ({"fixed": {0: 0.0}}, "bandwidth"),
