@@ -26,7 +26,7 @@ caller.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import functools
 import logging
 import math
@@ -215,9 +215,11 @@ def _run_replicate(
     tol: float,
 ) -> list[CvRow]:
     if sim_config is not None:
-        base = sim_config.seed
-        entropy = ([base] if isinstance(base, int) else list(base)) + [rep]
-        out = simulate_met(dataclasses.replace(sim_config, seed=entropy))
+        # Not dataclasses.replace, which re-runs __post_init__ and its warnings.
+        config = copy.copy(sim_config)
+        base = config.seed
+        config.seed = ([base] if isinstance(base, int) else list(base)) + [rep]
+        out = simulate_met(config)
         data, truth = out.dataset, out.true_genetic_matrix
     else:
         data, truth = dataset, None

@@ -1,12 +1,13 @@
 """Environmental covariates: thermal time, piecewise summaries, and
 environment-by-environment similarity.
 
-Daily weather is reduced to one heat-unit trajectory per environment.  Each
-additional covariate is then regressed on accumulated heat units with a
-piecewise-constant model (one intercept per fixed-width window), giving a
-feature matrix with one column per environment and one row per
-variable-window pair.  Rows are standardized to mean zero and unit
-population variance, after which
+Daily weather goes to features in one pass: every record is checked once
+(a failure is a ``DataError`` naming the environment and the day), then each
+environment's accumulated heat units are binned once and every variable is
+regressed on them with a piecewise-constant model (one intercept, the bin's
+mean, per fixed-width window), giving a feature matrix with one column per
+environment and one row per variable-window pair.  Rows are standardized to
+mean zero and unit population variance, after which
 
     Chat = X^T X / q          (q = number of feature rows)
 
@@ -24,6 +25,7 @@ read-only.  A permuted (``in_order``) or blended matrix is built anew.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Mapping, Sequence
 
@@ -275,6 +277,17 @@ def piecewise_intercepts(
     Raises:
         EmptyBinError: If some bin receives no points.
     """
+    pairs = np.array(list(points), dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(pairs)):
+        raise InvalidInputError("points must be finite")
+    return _bin_means(pairs[:, 0], pairs[:, 1:], interval, window)[0]
+
+
+def _bin_means(positions: np.ndarray, values: np.ndarray, interval: float,
+               window: tuple[float, float], where: str = "") -> np.ndarray:
+    """Means of each column of ``values`` (one row per position) over
+    :func:`piecewise_intercepts`' bins, one row per column, summed in
+    position order.  An empty bin's ``EmptyBinError`` starts with ``where``."""
     lo, hi = float(window[0]), float(window[1])
     if not np.isfinite(interval) or interval <= 0:
         raise InvalidInputError(f"interval must be positive, got {interval}")
@@ -286,26 +299,19 @@ def piecewise_intercepts(
         raise InvalidInputError(
             f"window width {hi - lo} is not a whole number of intervals {interval}"
         )
-    sums = np.zeros(n_bins)
-    counts = np.zeros(n_bins, dtype=int)
-    for x, value in points:
-        if not (np.isfinite(x) and np.isfinite(value)):
-            raise InvalidInputError("points must be finite")
-        if x < lo or x >= hi:
-            continue
-        k = int((x - lo) // interval)
-        if k >= n_bins:
-            continue
-        sums[k] += value
-        counts[k] += 1
+    inside = (positions >= lo) & (positions < hi)
+    bins = ((positions[inside] - lo) // interval).astype(int)
+    kept = bins < n_bins
+    bins, values = bins[kept], values[inside][kept]
+    counts = np.bincount(bins, minlength=n_bins)
     empty = np.nonzero(counts == 0)[0]
     if empty.size:
         k = int(empty[0])
         raise EmptyBinError(
-            f"bin [{lo + k * interval:g}, {lo + (k + 1) * interval:g}) "
+            f"{where}bin [{lo + k * interval:g}, {lo + (k + 1) * interval:g}) "
             "contains no observations"
         )
-    return sums / counts
+    return np.array([np.bincount(bins, column, n_bins) for column in values.T]) / counts
 
 
 def standardize_rows(
@@ -432,12 +438,16 @@ def weather_to_features(
     interval: float = 100.0,
     window: tuple[float, float] = (0.0, 2000.0),
 ) -> tuple[np.ndarray, list[str], list[str]]:
-    """Raw per-environment piecewise summaries of daily weather.
+    """Raw per-environment piecewise summaries of daily weather, in one pass.
 
-    For every environment, daily heat units are accumulated and each
-    requested variable is regressed on the running total with
-    :func:`piecewise_intercepts`.  Variables may be ``t_min``, ``t_max``, or
-    any covariate name present on every record.
+    Every record is checked before any binning: days increase within an
+    environment, ``t_min <= t_max``, and both temperatures and each requested
+    variable (``t_min``, ``t_max`` or a covariate) are present and finite; a
+    failure is a ``DataError`` naming the environment, the day and any
+    variable.  Each environment's heat units (:func:`gdd_accumulate`) are
+    then binned once, as in :func:`piecewise_intercepts`, and every variable
+    averaged over the bins; an empty bin is an ``EmptyBinError`` naming the
+    environment and the bin.
 
     Returns:
         (raw matrix with one row per variable-bin and one column per
@@ -449,56 +459,42 @@ def weather_to_features(
     if not variables:
         raise InvalidInputError("at least one variable is required")
     grouped: dict[str, list[DailyWeatherRecord]] = {}
+    tables: dict[str, list[list[float]]] = {}
     for rec in records:
-        grouped.setdefault(rec.environment, []).append(rec)
-    env_labels = list(grouped)
-    for env, recs in grouped.items():
-        days = [r.day for r in recs]
-        if any(b <= a for a, b in zip(days, days[1:])):
-            raise DataError(f"environment {env!r}: day indices must increase strictly")
-        for r in recs:
-            if r.t_min > r.t_max:
-                raise DataError(
-                    f"environment {env!r}, day {r.day}: t_min {r.t_min} exceeds "
-                    f"t_max {r.t_max}"
-                )
-
-    def value_of(rec: DailyWeatherRecord, var: str) -> float:
-        if var == "t_min":
-            return rec.t_min
-        if var == "t_max":
-            return rec.t_max
-        try:
-            return float(rec.covariates[var])
-        except KeyError:
-            raise DataError(
-                f"environment {rec.environment!r}, day {rec.day}: "
-                f"missing covariate {var!r}"
-            ) from None
-
-    lo = float(window[0])
-    columns: list[np.ndarray] = []
-    for env in env_labels:
-        recs = grouped[env]
-        cum = gdd_accumulate([(r.t_min, r.t_max) for r in recs])
-        col_parts = []
+        where = f"environment {rec.environment!r}, day {rec.day}"
+        recs = grouped.setdefault(rec.environment, [])
+        if recs and rec.day <= recs[-1].day:
+            raise DataError(f"{where}: day indices must increase strictly "
+                            f"(previous day {recs[-1].day})")
+        if not (math.isfinite(rec.t_min) and math.isfinite(rec.t_max)):
+            raise DataError(f"{where}: temperatures must be finite, got "
+                            f"t_min {rec.t_min}, t_max {rec.t_max}")
+        if rec.t_min > rec.t_max:
+            raise DataError(f"{where}: t_min {rec.t_min} exceeds t_max {rec.t_max}")
+        row = []
         for var in variables:
-            points = [(float(c), value_of(r, var)) for c, r in zip(cum, recs)]
-            try:
-                col_parts.append(piecewise_intercepts(points, interval, window))
-            except EmptyBinError as exc:
-                raise EmptyBinError(
-                    f"environment {env!r}, variable {var!r}: {exc}"
-                ) from None
-        columns.append(np.concatenate(col_parts))
-    raw = np.column_stack(columns)
-    n_bins = raw.shape[0] // len(variables)
+            value = (getattr(rec, var) if var in ("t_min", "t_max")
+                     else rec.covariates.get(var))
+            if value is None:
+                raise DataError(f"{where}: missing covariate {var!r}")
+            if not math.isfinite(value):
+                raise DataError(f"{where}: {var!r} must be finite, got {value}")
+            row.append(value)
+        recs.append(rec)
+        tables.setdefault(rec.environment, []).append(row)
+    raw = np.column_stack([
+        _bin_means(gdd_accumulate([(r.t_min, r.t_max) for r in recs]),
+                   np.array(tables[env], dtype=float), interval, window,
+                   f"environment {env!r}: ").ravel()
+        for env, recs in grouped.items()
+    ])
+    lo, n_bins = float(window[0]), raw.shape[0] // len(variables)
     row_labels = [
         f"{var}@{lo + k * interval:g}"
         for var in variables
         for k in range(n_bins)
     ]
-    return raw, row_labels, env_labels
+    return raw, row_labels, list(grouped)
 
 
 def process_weather(

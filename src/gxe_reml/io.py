@@ -4,7 +4,8 @@ Every file is one table format: a header row, then one or more rows with
 exactly the header's cell count.  Readers check the header (the whole row,
 or its leading columns for weather and targets, which allow more), that
 no column name repeats, each row's cell count and a non-empty body; cells
-are stripped of surrounding whitespace.  Labeled square matrices are such
+are stripped of surrounding whitespace, and a numeric cell must hold a
+finite number (not ``nan`` or ``inf``).  Labeled square matrices are such
 a table whose header holds the column labels after an empty corner cell
 and whose rows each start with their own label, none repeated.  Matrices
 read from disk may be asymmetric up to 1e-8 and are symmetrized; anything
@@ -19,6 +20,7 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -88,11 +90,14 @@ def _write_table(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> 
 
 def _parse_float(text: str, path, row: int, col: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise DataError(
-            f"{path}: row {row}, column {col!r}: not a number: {text!r}"
-        ) from None
+            f"{path}: row {row}, column {col!r}: not a finite number: {text!r}"
+        )
+    return value
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str], list[str]]:

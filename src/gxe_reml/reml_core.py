@@ -134,10 +134,6 @@ class RelationshipMatrix(_LabeledMatrix):
         _psd_eigh(values, self._what, DataError)
         return values
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
     @cached_property
     def _contrast_basis(self) -> tuple[np.ndarray, np.ndarray]:
         """(d, C U) of :func:`_contrast_rotation`, read-only."""

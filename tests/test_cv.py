@@ -422,6 +422,17 @@ class TestRunCv:
         assert expected, "this design must drive some parameter to its bound"
         assert [rec.getMessage() for rec in caplog.records] == expected
 
+    def test_config_warning_logged_once_not_per_replicate(self, caplog):
+        with caplog.at_level("WARNING", logger="gxe_reml"):
+            config = dataclasses.replace(tiny_sim_config(seed=59), n_markers=10,
+                                         kinship=None)
+            run_cv(["main"], design(2, 1, replicates=3, seed=60),
+                   sim_config=config, jobs=1)
+        assert [rec.getMessage() for rec in caplog.records
+                if "singular" in rec.getMessage()] == [
+            "n_markers (10) < n_genotypes (20): kinship will be singular"
+        ]
+
     def test_any_package_error_in_a_fit_is_a_failed_row(self, monkeypatch,
                                                         caplog):
         real_fit = cv.fit

@@ -488,6 +488,28 @@ class TestWeatherPipeline:
         with pytest.raises(EmptyBinError, match="E1"):
             weather_to_features(records, ["t_min"], 100.0, (0.0, 400.0))
 
+    @pytest.mark.parametrize("t_min, rain, named", [
+        (np.nan, 0.5, "temperatures must be finite, got t_min nan, t_max 80.0"),
+        (60.0, np.inf, "'rain' must be finite, got inf"),
+    ], ids=["temperature", "covariate"])
+    def test_non_finite_value_names_environment_and_day(self, t_min, rain, named):
+        records = (_weather("E1", range(1, 11), extra=np.ones(10))
+                   + _weather("E2", range(1, 11), extra=np.ones(10)))
+        records[12] = DailyWeatherRecord("E2", 3, t_min, 80.0, {"rain": rain})
+        with pytest.raises(DataError) as info:
+            weather_to_features(records, ["rain"], 100.0, (0.0, 100.0))
+        assert str(info.value) == f"environment 'E2', day 3: {named}"
+
+    def test_every_record_checked_before_any_binning(self):
+        # E1 leaves bins empty, but E2's bad day comes first: no binning
+        # starts until every record has passed its checks.
+        records = _weather("E1", range(1, 3)) + _weather("E2", range(1, 41))
+        records[3] = DailyWeatherRecord("E2", 2, 90.0, 70.0)
+        with pytest.raises(DataError) as info:
+            weather_to_features(records, ["t_min"], 100.0, (0.0, 400.0))
+        assert type(info.value) is DataError
+        assert str(info.value) == "environment 'E2', day 2: t_min 90.0 exceeds t_max 70.0"
+
     def test_process_weather_outputs_agree(self):
         days = range(1, 41)
         records = (

@@ -176,9 +176,10 @@ class TestReaderErrors:
         self.raises(gio.read_phenotypes_csv, path)
 
     def test_phenotypes_not_a_number(self, tmp_path):
-        path = write_text(tmp_path / "p.csv", "genotype,environment,value",
-                          "g1,E1,1.0", "g2,E1,abc")
-        self.raises(gio.read_phenotypes_csv, path, "row 3", "'value'", "abc")
+        for bad in ("abc", "nan", "inf"):
+            path = write_text(tmp_path / "p.csv", "genotype,environment,value",
+                              "g1,E1,1.0", f"g2,E1,{bad}")
+            self.raises(gio.read_phenotypes_csv, path, "row 3", "'value'", repr(bad))
 
     # weather
     def test_weather_header(self, tmp_path):
@@ -194,9 +195,10 @@ class TestReaderErrors:
         self.raises(gio.read_weather_csv, path)
 
     def test_weather_not_a_number(self, tmp_path):
-        path = write_text(tmp_path / "w.csv", WEATHER_HEADER,
-                          "E1,1,60,80,0", "E1,2,60,80,wet")
-        self.raises(gio.read_weather_csv, path, "row 3", "'rain'", "wet")
+        for bad in ("wet", "nan", "inf"):
+            path = write_text(tmp_path / "w.csv", WEATHER_HEADER,
+                              "E1,1,60,80,0", f"E1,2,60,80,{bad}")
+            self.raises(gio.read_weather_csv, path, "row 3", "'rain'", repr(bad))
 
     def test_weather_day_not_an_integer(self, tmp_path):
         path = write_text(tmp_path / "w.csv", WEATHER_HEADER, "E1,1.5,60,80,0")
@@ -255,8 +257,10 @@ class TestReaderErrors:
         self.raises(gio.read_fit_dir, fit_dir, "params.csv")
 
     def test_params_not_a_number(self, fit_dir):
-        self.break_fit_file(fit_dir, "params.csv", "name,value", "resid_var,big")
-        self.raises(gio.read_fit_dir, fit_dir, "params.csv", "row 2", "'value'", "big")
+        for bad in ("big", "nan", "inf"):
+            self.break_fit_file(fit_dir, "params.csv", "name,value", f"resid_var,{bad}")
+            self.raises(gio.read_fit_dir, fit_dir, "params.csv", "row 2", "'value'",
+                        repr(bad))
 
     def test_params_duplicate_row(self, fit_dir):
         # A second row must not silently win: every prediction would shift.
@@ -281,9 +285,11 @@ class TestReaderErrors:
         self.raises(gio.read_fit_dir, fit_dir, "blups.csv")
 
     def test_blups_not_a_number(self, fit_dir):
-        self.break_fit_file(fit_dir, "blups.csv", "genotype,environment,blup",
-                            "g000,E0,1", "g001,E0,one")
-        self.raises(gio.read_fit_dir, fit_dir, "blups.csv", "row 3", "'blup'", "one")
+        for bad in ("one", "nan", "inf"):
+            self.break_fit_file(fit_dir, "blups.csv", "genotype,environment,blup",
+                                "g000,E0,1", f"g001,E0,{bad}")
+            self.raises(gio.read_fit_dir, fit_dir, "blups.csv", "row 3", "'blup'",
+                        repr(bad))
 
     def test_blups_duplicate_cell(self, fit_dir):
         self.break_fit_file(fit_dir, "blups.csv", "genotype,environment,blup",
@@ -313,8 +319,9 @@ class TestReaderErrors:
         self.raises(gio.read_matrix_csv, path)
 
     def test_matrix_not_a_number(self, tmp_path):
-        path = write_text(tmp_path / "m.csv", ",a,b", "a,1,0", "b,0,x")
-        self.raises(gio.read_matrix_csv, path, "row 3", "'b'", "x")
+        for bad in ("x", "nan", "inf"):
+            path = write_text(tmp_path / "m.csv", ",a,b", "a,1,0", f"b,0,{bad}")
+            self.raises(gio.read_matrix_csv, path, "row 3", "'b'", repr(bad))
 
     def test_square_matrix_labels(self, tmp_path):
         path = write_text(tmp_path / "m.csv", ",a,b", "a,1,0", "c,0,1")
