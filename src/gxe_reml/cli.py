@@ -67,7 +67,7 @@ def _bounded(convert: Callable, holds: Callable, wording: str) -> Callable:
 
 _count = _bounded(int, lambda v: v >= 1, ">= 1")
 _size = _bounded(int, lambda v: v >= 2, ">= 2")
-_positive = _bounded(float, lambda v: v > 0, "positive")
+_positive = _bounded(float, lambda v: 0 < v < np.inf, "finite and positive")
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -86,6 +86,8 @@ def _window(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(
             f"expected numbers 'lo:hi', got {text!r}"
         ) from None
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"lo and hi must be finite, got {text!r}")
     if lo >= hi:
         raise argparse.ArgumentTypeError("lo must be less than hi")
     return lo, hi
@@ -152,7 +154,7 @@ def _build_parser() -> _Parser:
     fit_p.add_argument("--structure", choices=STRUCTURE_KINDS)
     fit_p.add_argument("--init", type=_floats,
                        help="comma-separated initial parameters")
-    fit_p.add_argument("--resid-init", type=float)
+    fit_p.add_argument("--resid-init", type=_positive)
     fit_p.add_argument("--out", help="output directory")
 
     pred = sub.add_parser("predict", prog="gxe-reml predict", parents=[config],

@@ -290,9 +290,9 @@ def _bin_means(positions: np.ndarray, values: np.ndarray, interval: float,
     position order.  An empty bin's ``EmptyBinError`` starts with ``where``."""
     lo, hi = float(window[0]), float(window[1])
     if not np.isfinite(interval) or interval <= 0:
-        raise InvalidInputError(f"interval must be positive, got {interval}")
+        raise InvalidInputError(f"interval must be finite and positive, got {interval}")
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
-        raise InvalidInputError(f"window must satisfy lo < hi, got ({lo}, {hi})")
+        raise InvalidInputError(f"window must be finite with lo < hi, got ({lo}, {hi})")
     span = (hi - lo) / interval
     n_bins = int(round(span))
     if n_bins < 1 or abs(span - n_bins) > 1e-9:

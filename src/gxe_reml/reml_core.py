@@ -5,25 +5,25 @@ The model for N observed genotype-environment cells is
     y = X beta + Z u + eps,    u ~ N(0, Sigma(kappa) kron K),
                                eps ~ N(0, resid_var * I_N),
 
-where X = E, the N x p environment indicator matrix, so that the fit
-estimates beta as the per-environment means, K is the n x n genomic
-relationship matrix, and Sigma(kappa) is a p x p environment-side
-covariance supplied by a
-:class:`~gxe_reml.variance_structures.VarianceStructure`.  ``fit`` reports
-beta in reference coding (``FitResult.beta_hat``): l_R below does not
-depend on how X codes the means, as recoding X by a unit-triangular T
-adds log|T|^2 = 0 to log|X^T V^-1 X|.  The restricted log-likelihood is
+where X = E, the N x p environment indicator matrix (``fit`` reports beta
+in reference coding, ``FitResult.beta_hat``), K is the n x n genomic
+relationship matrix, and Sigma(kappa) is a p x p environment-side covariance
+supplied by a :class:`~gxe_reml.variance_structures.VarianceStructure`.
+Both point evaluators work in REML's error contrasts (Patterson & Thompson
+1971; Harville 1977), the N - p orthonormal columns of L with L^T X = 0,
+and evaluate the one formula
 
-    l_R = -1/2 * [log|V| + log|X^T V^-1 X| + y^T P y],
+    l_R = -1/2 * [log|L^T V L| + y^T L (L^T V L)^-1 L^T y + log|X^T X|],
 
-    V = Z (Sigma kron K) Z^T + resid_var * I_N,
-    P = V^-1 - V^-1 X (X^T V^-1 X)^-1 X^T V^-1.
+    V = Z (Sigma kron K) Z^T + resid_var * I_N,    P = L (L^T V L)^-1 L^T,
 
-V is assembled densely at record dimension N through indexed products
-V_rs = Sigma[e_r, e_s] * K[g_r, g_s] + resid_var * [r == s]; the Kronecker
-product itself is never materialized.  Parameters are updated by
-Newton-type steps on log-transformed values (enforcing positivity
-smoothly), built from
+with log|X^T X| = sum_a log n_a over the environments' record counts.  It
+equals log|V| + log|X^T V^-1 X| + y^T P y without that form's cancellation
+as resid_var -> 0 along X (K 1 = 0, a centred kinship).  Both take beta as
+the per-environment mean of y - V P y = X beta.
+
+Parameters are updated by Newton-type steps on log-transformed values
+(enforcing positivity smoothly), built from
 
     score_i = -1/2 * (tr(P Vdot_i) - y^T P Vdot_i P y),
     AI_ij   =  1/2 * y^T P Vdot_i P Vdot_j P y,
@@ -33,11 +33,12 @@ with Vdot_i = Z (dSigma/dkappa_i kron K) Z^T for structure parameters,
 Vdot = I_N for the residual variance, and Vddot_ij the matching second
 derivatives.  Score and C need only M = T - (Q + Q^T)/2 and s = tr P -
 y^T P^2 y, T_ab and Q_ab summing (P o K)_rs and (P y)_r K_rs (P y)_s over
-records r in environment a, s in b: score_i = -1/2 sum(dSigma_i o M),
-the residual's is -1/2 s and C = 1/2 ``curvature(kappa, M)``, formed with
-the symmetric AI by the one ``_derivative_tail``.  C, the curvature the
-average information omits (Gilmour, Thompson & Cullis 1995; Meyer &
-Smith 1996), is zero for parameters that enter Sigma linearly.
+records r in environment a, s in b (the dense point sums over contrasts,
+with (L^T V L)^-1, L^T y and L^T K L for P, y and K): score_i = -1/2
+sum(dSigma_i o M), the residual's is -1/2 s and C = 1/2 ``curvature(kappa,
+M)``, formed with the symmetric AI by the one ``_derivative_tail``.  C, the
+curvature the average information omits (Gilmour, Thompson & Cullis 1995;
+Meyer & Smith 1996), is zero for parameters that enter Sigma linearly.
 
 The step matrix H, on the log scale and the coordinates that move, is the
 first positive definite one giving a finite step among AI + C, AI and AI
@@ -47,29 +48,25 @@ fit converges when the last accepted gain and the Newton decrement
 g^T H^-1 g (g the log-scale score, before clipping) are both below
 ``tol``.  ``FitResult.ai_matrix`` stays the plain AI, for standard errors.
 
-Cost per iteration: V is factored once per trial point, and the accepted
-trial's factor is reused for the score and AI matrix.  A fit factors once
-at the start, once per accepted step and once per rejected step halving.
+Cost per iteration: L^T V L is factored once per trial point, and the
+accepted trial's factor is reused for the score and AI matrix.  A fit
+factors once at the start, once per accepted step and once per rejected
+step halving.
 Two point evaluators do this behind one interface (``loglik``, ``beta``,
 ``py``, ``sigma``, ``derivatives``), chosen once per dataset and checked
 for a finite Sigma and l_R by ``_RemlWorkspace.point``:
 
-* ``_PointEvaluation`` serves any record set.  potrf factors the N x N V
-  in the buffer it was assembled in, with no copy, and one potrs solves
-  for [y X].  potri turns the factor into the lower triangle of P in
-  place, and only that triangle is read.
+* ``_PointEvaluation`` serves any record set, with L from one Householder
+  reflector per environment (``_Contrasts``) and L^T K L formed once per
+  fit.  L is block diagonal by environment, so L^T V L = Sigma[e_c, e_c']
+  (L^T K L)_cc' + resid_var [c == c'] comes from indexed products, and
+  potrf factors it in that buffer.  potri turns the factor into the lower
+  triangle of (L^T V L)^-1 in place, and only lower triangles are read.
 * ``_SpectralPoint`` serves complete trials, where every genotype is
-  observed once in every environment.  With C an orthonormal complement
-  of 1_n (one Householder reflector) and C^T K C = U D U^T decomposed once,
-  the contrasts (I_p kron C U)^T y are REML's error contrasts, and in them
-  V is n - 1 blocks B_i = d_i Sigma + resid_var I_p.  Then
-  l_R = -1/2 [sum_i log|B_i| + sum_i y_i^T B_i^-1 y_i + p log n], y_i the
-  rows of U^T C^T Y for the n x p phenotype grid Y (p log n = log|X^T X|).
-  The eigendecomposition is computed once per kinship and shared by every
-  fit on it.  Per trial point, one potrf call factors each block in
-  place; P y and beta are formed only when read, once per fit.  The
-  contrasts also avoid the cancellation in log|V| + log|X^T V^-1 X| +
-  y^T P y as resid_var -> 0 when K 1 = 0 (a centred kinship).
+  observed once in every environment.  There L = I_p kron C U, C the
+  contrasts of 1_n and C^T K C = U D U^T, decomposed once per kinship and
+  shared by every fit on it, and L^T V L is n - 1 blocks B_i = d_i Sigma +
+  resid_var I_p, each factored in place by one potrf call per point.
 
 Products and factorizations with an N-sized operand run on SciPy's BLAS
 and LAPACK, by the package's one-pool rule (:mod:`gxe_reml`).
@@ -77,8 +74,8 @@ and LAPACK, by the package's one-pool rule (:mod:`gxe_reml`).
 BLUPs at the fitted parameters are u_hat = (Sigma_hat kron K) Z^T P y,
 computed once per fit as the n x p matrix K S Sigma_hat, S scattering
 P y over (genotype, environment) cells: the one BLUP path and K S Sigma
-product (a complete trial's beta reads it too).  ``FitResult.blup_matrix``
-holds the result and :func:`lookup_cells` reads cells from it.
+product (beta reads it too).  ``FitResult.blup_matrix`` holds the result
+and :func:`lookup_cells` reads cells from it.
 """
 
 from __future__ import annotations
@@ -240,60 +237,86 @@ class Dataset:
         return Dataset(recs, self.kinship, self.environment_labels)
 
 
-def _condition_diagnostics(v: np.ndarray) -> str:
-    try:
-        eigs = scipy.linalg.eigvalsh(v, driver="evd")
-        return f"min eigenvalue {eigs[0]:.3e}, max eigenvalue {eigs[-1]:.3e}"
-    except Exception:  # pragma: no cover - diagnostics best effort
-        return "eigenvalue diagnostics unavailable"
-
-
 def _assemble_covariance(
-    sigma: np.ndarray, resid_var: float, env_idx: np.ndarray, k_rec: np.ndarray
+    sigma: np.ndarray, resid_var: float, env_idx: np.ndarray, k: np.ndarray
 ) -> np.ndarray:
-    """V_rs = Sigma[e_r, e_s] K_rs + resid_var [r == s], C-ordered;
-    ``k_rec`` is K[g_r, g_s]."""
+    """V_rs = Sigma[e_r, e_s] k_rs + resid_var [r == s] in Fortran order, for
+    a Fortran-ordered ``k``; right in the triangles where ``k`` is."""
     v = np.take(sigma[env_idx], env_idx, axis=1)
-    v *= k_rec
+    v.T[...] *= k
     v.flat[:: len(env_idx) + 1] += resid_var
-    return v
+    return v.T
 
 
-def _factor_covariance(
-    sigma: np.ndarray, resid_var: float, env_idx: np.ndarray, k_rec: np.ndarray
-) -> np.ndarray:
-    """Lower Cholesky factor of V, in place on V's own buffer.
-
-    V is exactly symmetric, so its C-ordered buffer is V in Fortran order
-    too, and potrf factors it without a copy; ``clean`` zeroes the strict
-    upper triangle.  Only diag(V) is checked for finiteness: an off-diagonal
-    overflow leaves V indefinite, which the factorization reports.  Failures
-    raise NumericalError; as potrf has consumed V, the diagnostics rebuild it.
-    """
-    v = _assemble_covariance(sigma, resid_var, env_idx, k_rec)
+def _factor_covariance(sigma: np.ndarray, resid_var: float, ws: "_RemlWorkspace") -> np.ndarray:
+    """Lower Cholesky factor of L^T V L, in place on its own buffer, whose
+    lower triangle alone is set; ``clean`` zeroes the rest.  Only the
+    diagonal is checked for finiteness: an off-diagonal overflow leaves it
+    indefinite, which potrf reports.  A failure's diagnostics describe V,
+    rebuilt in record space: L^T V L is a principal submatrix of H V H."""
+    v = _assemble_covariance(sigma, resid_var, ws.contrasts.env, ws.contrasts.k)
     if not np.all(np.isfinite(v.diagonal())):
         raise NumericalError("covariance matrix is not finite")
-    chol, info = lapack.dpotrf(v.T, lower=1, overwrite_a=1, clean=1)
+    chol, info = lapack.dpotrf(v, lower=1, overwrite_a=1, clean=1)
     if info != 0:
-        v = _assemble_covariance(sigma, resid_var, env_idx, k_rec)
-        raise NumericalError(
-            f"covariance factorization failed (potrf info {info}; "
-            f"{_condition_diagnostics(v)})"
-        )
+        k_rec = ws.dataset.kinship.values[np.ix_(ws.gen_idx, ws.gen_idx)]
+        v = _assemble_covariance(sigma, resid_var, ws.env_idx, k_rec)
+        try:
+            eigs = scipy.linalg.eigvalsh(v, driver="evd")
+            why = f"min eigenvalue {eigs[0]:.3e}, max eigenvalue {eigs[-1]:.3e}"
+        except Exception:  # pragma: no cover - diagnostics best effort
+            why = "eigenvalue diagnostics unavailable"
+        raise NumericalError(f"covariance factorization failed (potrf info {info}; {why})")
     return chol
 
 
-def _chol_inverse(chol_lower: np.ndarray, downdate: np.ndarray) -> np.ndarray:
-    """Lower triangle of V^-1 - D^T D from the lower Cholesky factor of V.
+class _Contrasts:
+    """Within-environment error contrasts L of the records with genotypes
+    ``gen`` and environments ``env_idx``, n_a = ``counts[a]`` in environment a.
 
-    LAPACK potri writes the lower triangle of V^-1 over ``chol_lower``
-    (consuming the factor) and syrk subtracts D^T D from it; the strict
-    upper triangle keeps the zeros that potrf's ``clean`` left there.
+    H = I - W W^T holds one Householder reflector per environment, w_a =
+    (1_a / sqrt(n_a) + e_f) / sqrt(1 + 1 / sqrt(n_a)) with f the
+    environment's first record, so H's column f is -1_a / sqrt(n_a) and its
+    other columns are L.  Records are reordered (``order``) with the N - p
+    contrasts first and the first records last, in environment order.  K,
+    gathered so, is rotated in place, H K H = K - W G^T - G W^T with G = K W
+    - W W^T K W / 2, and ``k`` keeps L^T K L, its leading block's lower
+    triangle, in Fortran order; ``onehot`` marks the contrasts' environments.
     """
-    inv, info = lapack.dpotri(chol_lower, lower=1, overwrite_c=1)
-    if info != 0:
-        raise NumericalError(f"triangular inversion failed (potri info {info})")
-    return blas.dsyrk(-1.0, downdate, beta=1.0, c=inv, trans=1, lower=1, overwrite_c=1)
+
+    def __init__(self, env_idx: np.ndarray, counts: np.ndarray, kin: np.ndarray, gen: np.ndarray):
+        p = len(counts)
+        first = np.unique(env_idx, return_index=True)[1]
+        self.order = order = np.concatenate([np.delete(np.arange(len(env_idx)), first), first])
+        self.inverse = np.argsort(order)
+        self.m = m = len(env_idx) - p
+        self.env = env_idx[order[:m]]
+        onehot = np.eye(p)[env_idx[order]]
+        self.onehot = np.asfortranarray(onehot[:m])
+        root = np.sqrt(counts)
+        w = onehot / root
+        w[m:] += np.eye(p)
+        self.w = w = np.asfortranarray(w / np.sqrt(1.0 + 1.0 / root))
+        # K is symmetric, so the C-ordered gather's transpose is it in Fortran order.
+        k = np.take(kin[gen[order]], gen[order], axis=1).T
+        g = blas.dsymm(1.0, k, w, lower=1)
+        g = blas.dgemm(-0.5, w, blas.dgemm(1.0, w, g, trans_a=1), beta=1.0, c=g, overwrite_c=1)
+        k = blas.dsyr2k(-1.0, w, g, beta=1.0, c=k, lower=1, overwrite_c=1)
+        self.k = np.asfortranarray(k[:m, :m])
+
+    def _reflect(self, z: np.ndarray) -> np.ndarray:
+        """H z for reordered rows z (N x k), in place if z is Fortran-ordered."""
+        wz = blas.dgemm(1.0, self.w, z, trans_a=1)
+        return blas.dgemm(-1.0, self.w, wz, beta=1.0, c=z, overwrite_c=1)
+
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """L^T y for rows y (N x k) in record order."""
+        return self._reflect(np.asfortranarray(y[self.order]))[: self.m]
+
+    def lift(self, r: np.ndarray) -> np.ndarray:
+        """L r in record order, for r (m x k): H applied to r padded with zeros."""
+        padded = np.pad(r, ((0, len(self.order) - self.m), (0, 0)))
+        return self._reflect(np.asfortranarray(padded))[self.inverse]
 
 
 def _cell_blups(dataset: Dataset, weights: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -318,63 +341,62 @@ def _derivative_tail(
     return grad, 0.25 * (ai + ai.T), corr
 
 
-class _PointEvaluation:
+class _Point:
+    """What both likelihood points share: beta from P y."""
+
+    @cached_property
+    def beta(self) -> np.ndarray:
+        # y - V P y = X beta: per environment, the mean of y - blups - resid_var P y.
+        ws = self.ws
+        blups = _cell_blups(ws.dataset, self.py, self.sigma)[ws.gen_idx, ws.env_idx]
+        fixed = ws.dataset.values - blups - self.resid_var * self.py
+        return np.bincount(ws.env_idx, fixed) / ws.counts
+
+
+class _PointEvaluation(_Point):
     """Likelihood pieces at one (Sigma, resid_var) point of any record set,
-    from the N x N Cholesky factor of V, which is retained."""
+    in the error contrasts, from the Cholesky factor of L^T V L, which is
+    retained."""
 
     def __init__(self, ws: "_RemlWorkspace", sigma: np.ndarray, resid_var: float):
-        self.ws = ws
-        self.sigma = sigma
-        self.chol = chol = _factor_covariance(sigma, resid_var, ws.env_idx, ws.k_rec)
+        self.ws, self.sigma, self.resid_var = ws, sigma, resid_var
+        self.chol = chol = _factor_covariance(sigma, resid_var, ws)
         logdet_v = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        # V^-1 [y X] in one solve; X^T V^-1 [y X] in one product.
-        vi_yx, _ = lapack.dpotrs(chol, ws.yx, lower=1)
-        vi_y, vi_x = vi_yx[:, 0], vi_yx[:, 1:]
-        xt_vi_yx = blas.dgemm(1.0, ws.x, vi_yx, trans_a=1)
-        a = xt_vi_yx[:, 1:]
-        a = 0.5 * (a + a.T)
-        try:
-            chol_a = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            raise NumericalError(
-                "X^T V^-1 X is not positive definite "
-                f"({_condition_diagnostics(a)})"
-            ) from None
-        logdet_a = 2.0 * float(np.sum(np.log(np.diag(chol_a))))
-        beta = scipy.linalg.cho_solve((chol_a, True), xt_vi_yx[:, 0], check_finite=False)
-        py = blas.dgemv(-1.0, vi_x, beta, beta=1.0, y=vi_y)
-        self.vi_x, self.chol_a, self.beta, self.py = vi_x, chol_a, beta, py
-        self.loglik = -0.5 * (logdet_v + logdet_a + blas.ddot(ws.y, py))
+        # r = (L^T V L)^-1 L^T y, so y^T P y = (L^T y)^T r and P y = L r.
+        self.r = lapack.dpotrs(chol, ws.y, lower=1)[0]
+        self.loglik = -0.5 * (logdet_v + blas.ddot(ws.y, self.r) + ws.logdet_xx)
+
+    @cached_property
+    def py(self) -> np.ndarray:
+        return self.ws.contrasts.lift(self.r[:, None])[:, 0]
 
     def derivatives(
         self, structure: VarianceStructure, kappa: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`_derivative_tail` at ``kappa``, from P.  Consumes the
-        Cholesky factor, which potri overwrites with P's lower triangle, so
-        it runs at most once per point."""
+        """:func:`_derivative_tail` at ``kappa``, from (L^T V L)^-1.
+        Consumes the Cholesky factor, which potri overwrites with the
+        inverse's lower triangle, so it runs at most once per point."""
         ws = self.ws
         derivs = structure.evaluate(kappa).derivs
-        # P = V^-1 - V^-1 X A^-1 X^T V^-1 = V^-1 - W^T W, W = L_A^-1 (V^-1 X)^T.
-        w_fix = scipy.linalg.solve_triangular(self.chol_a, self.vi_x.T, lower=True)
-        p_low = _chol_inverse(self.chol, w_fix)
+        p_low, info = lapack.dpotri(self.chol, lower=1, overwrite_c=1)
+        if info != 0:
+            raise NumericalError(f"triangular inversion failed (potri info {info})")
         self.chol = None
-        py = self.py
-        # K is exactly symmetric, so k_rec.T is k_rec in P's (Fortran) layout.
-        k_rec, onehot = ws.k_rec.T, ws.x
-        epy = onehot * py[:, None]
-        h = blas.dgemm(1.0, k_rec, epy)
-        # N x (k + 1) in Fortran order: Vdot_i P y per structure parameter, then P y.
-        w = np.array([(h * d[ws.env_idx]).sum(axis=1) for d in derivs] + [py]).T
+        r, k, onehot = self.r, ws.contrasts.k, ws.contrasts.onehot
+        er = onehot * r[:, None]
+        h = blas.dsymm(1.0, k, er, lower=1)
+        # m x (k + 1) in Fortran order: Vdot_i P y per structure parameter, then P y.
+        w = np.array([(h * d[ws.contrasts.env]).sum(axis=1) for d in derivs] + [r]).T
         ai = blas.dgemm(1.0, w, blas.dsymm(1.0, p_low, w, lower=1), trans_a=1)
-        s = np.trace(p_low) - blas.ddot(py, py)
+        s = np.trace(p_low) - blas.ddot(r, r)
         # Environment aggregate of P * K from the lower triangle L of P * K:
         # T = E^T L E + (E^T L E)^T - diag(per-environment sums of diag(L)).
-        p_low *= k_rec
+        p_low *= k
         t_low = blas.dgemm(1.0, onehot, blas.dgemm(1.0, p_low, onehot), trans_a=1)
-        diag_l = np.bincount(ws.env_idx, p_low.diagonal(), len(t_low))
+        diag_l = np.bincount(ws.contrasts.env, p_low.diagonal(), len(t_low))
         t_agg = t_low + t_low.T - np.diag(diag_l)
         # T - Q, Q = (E o P y)^T h.
-        t_q = blas.dgemm(-1.0, epy, h, beta=1.0, c=t_agg, trans_a=1)
+        t_q = blas.dgemm(-1.0, er, h, beta=1.0, c=t_agg, trans_a=1)
         return _derivative_tail(structure, kappa, derivs, t_q, s, ai)
 
 
@@ -385,30 +407,21 @@ def _is_complete(dataset: Dataset) -> bool:
 
 def _contrast_rotation(kin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues d (round-off negatives set to 0) and the n x (n - 1)
-    basis C U of C^T K C = U D U^T.
-
-    C is columns 2..n of the Householder reflector I - v v^T / v_0 with
-    v = 1_n / sqrt(n) + e_1, an orthonormal complement of 1_n.
-    """
+    basis C U of C^T K C = U D U^T, C the :class:`_Contrasts` of n records
+    of one environment: columns 2..n of one Householder reflector."""
     n = len(kin)
-    v = np.full(n, 1.0 / np.sqrt(n))
-    v[0] += 1.0
-    c = np.asfortranarray(np.outer(v, v[1:] / -v[0]))
-    c[1:] += np.eye(n - 1)
-    ckc = blas.dgemm(1.0, c, blas.dgemm(1.0, kin, c), trans_a=1)
-    d, u = scipy.linalg.eigh(ckc, driver="evd", check_finite=False)
-    return np.maximum(d, 0.0), blas.dgemm(1.0, c, u)
+    contrasts = _Contrasts(np.zeros(n, dtype=np.intp), np.array([n]), kin, np.arange(n))
+    d, u = scipy.linalg.eigh(contrasts.k, driver="evd", overwrite_a=True, check_finite=False)
+    return np.maximum(d, 0.0), contrasts.lift(u)
 
 
-class _SpectralPoint:
+class _SpectralPoint(_Point):
     """Likelihood pieces at one point of a complete trial, in the contrast
     eigenbasis: the rotated V is block diagonal with B_i = d_i Sigma +
     resid_var I, each block factored in place by its own potrf call."""
 
     def __init__(self, ws: "_RemlWorkspace", sigma: np.ndarray, resid_var: float):
-        self.ws = ws
-        self.sigma = sigma
-        self.resid_var = resid_var
+        self.ws, self.sigma, self.resid_var = ws, sigma, resid_var
         chol = ws.d[:, None, None] * sigma
         chol += resid_var * np.eye(len(sigma))
         # A block whose trace overflows has eigenvalues near the double range.
@@ -429,21 +442,13 @@ class _SpectralPoint:
         logdet_v = 2.0 * float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
         # r_i = B_i^-1 y_i through z_i = U_i y_i, U_i = L_i^-1, so y^T P y = sum |z_i|^2.
         self.inv_chol = inv_chol = np.linalg.inv(chol)
-        z = np.einsum("ijk,ik->ij", inv_chol, ws.y_rot)
+        z = np.einsum("ijk,ik->ij", inv_chol, ws.y)
         self.r = np.einsum("ikj,ik->ij", inv_chol, z)
         self.loglik = -0.5 * (logdet_v + float(np.sum(z * z)) + ws.logdet_xx)
 
     @cached_property
     def py(self) -> np.ndarray:
         return blas.dgemm(1.0, self.ws.cu, self.r)[self.ws.gen_idx, self.ws.env_idx]
-
-    @cached_property
-    def beta(self) -> np.ndarray:
-        # y - V P y = E beta: the per-environment means.
-        ws = self.ws
-        blups = _cell_blups(ws.dataset, self.py, self.sigma)[ws.gen_idx, ws.env_idx]
-        fixed = ws.y - blups - self.resid_var * self.py
-        return np.bincount(ws.env_idx, fixed) / ws.dataset.n
 
     def derivatives(
         self, structure: VarianceStructure, kappa: np.ndarray
@@ -487,36 +492,30 @@ class _RemlWorkspace:
                 f"(structure: {structure.env_labels}, "
                 f"dataset: {dataset.environment_labels})"
             )
-        self.y = dataset.values
-        self.env_idx = dataset.env_index_array
+        self.dataset = dataset
+        self.env_idx = env = dataset.env_index_array
         self.gen_idx = gen = dataset.gen_index_array
+        self.counts = counts = np.bincount(env, minlength=dataset.p)
+        if counts.min() == 0:
+            lab = dataset.environment_labels[int(counts.argmin())]
+            raise DesignError(f"environment {lab!r} has no records; its mean is not estimable")
+        if counts.max() == 1:
+            raise DesignError("every environment has one record: no error contrasts")
+        # log|X^T X| for X = E, the environment indicators.
+        self.logdet_xx = float(np.sum(np.log(counts)))
+        # y holds the phenotypes in the contrasts, L^T y.
         if _is_complete(dataset):
             self._evaluate = _SpectralPoint
-            self.dataset = dataset
             self.d, self.cu = dataset.kinship._contrast_basis
             y_grid = np.zeros((dataset.n, dataset.p), order="F")
-            y_grid[gen, self.env_idx] = self.y
-            self.y_rot = blas.dgemm(1.0, self.cu, y_grid, trans_a=1)
-            # log|X^T X| = log|n I_p| = p log n: n records in each environment.
-            self.logdet_xx = dataset.p * np.log(dataset.n)
+            y_grid[gen, env] = dataset.values
+            self.y = blas.dgemm(1.0, self.cu, y_grid, trans_a=1)
         else:
             self._evaluate = _PointEvaluation
-            counts = np.bincount(self.env_idx, minlength=dataset.p)
-            if counts.min() == 0:
-                lab = dataset.environment_labels[int(counts.argmin())]
-                raise DesignError(
-                    f"environment {lab!r} has no records; its mean is not estimable"
-                )
-            # [y X] in Fortran order for each point's solve; X = E, the environment
-            # indicators, also sums the derivatives' record terms by environment.
-            e = np.eye(dataset.p)[self.env_idx]
-            self.yx = np.asfortranarray(np.column_stack([self.y, e]))
-            self.x = self.yx[:, 1:]
-            self.k_rec = np.take(dataset.kinship.values[gen], gen, axis=1)
+            self.contrasts = _Contrasts(env, counts, dataset.kinship.values, gen)
+            self.y = self.contrasts.project(dataset.values[:, None])[:, 0]
 
-    def point(
-        self, sigma: np.ndarray, resid_var: float
-    ) -> _PointEvaluation | _SpectralPoint:
+    def point(self, sigma: np.ndarray, resid_var: float) -> _PointEvaluation | _SpectralPoint:
         if not np.all(np.isfinite(sigma)):
             raise NumericalError("covariance matrix is not finite")
         point = self._evaluate(self, sigma, resid_var)
@@ -583,7 +582,7 @@ def _point_at(
 ) -> _PointEvaluation | _SpectralPoint:
     """One point evaluation outside a fit, with its own workspace."""
     if not np.isfinite(resid_var) or resid_var <= 0.0:
-        raise InvalidInputError(f"resid_var must be positive, got {resid_var}")
+        raise InvalidInputError(f"resid_var must be finite and positive, got {resid_var}")
     ws = _RemlWorkspace(dataset, structure)
     return ws.point(structure.sigma(kappa), resid_var)
 
@@ -701,9 +700,9 @@ def fit(
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
     if not np.isfinite(tol) or tol <= 0.0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
+        raise InvalidInputError(f"tol must be finite and positive, got {tol}")
     ws = _RemlWorkspace(dataset, structure)
-    y_var = float(ws.y.var())
+    y_var = float(dataset.values.var())
     if y_var <= 0.0:
         raise DataError("phenotype variance is zero; nothing to decompose")
     k = structure.n_params
@@ -711,7 +710,7 @@ def fit(
     kappa = structure._check_kappa(start, strict=True).copy()
     resid = 0.5 * y_var if resid_init is None else float(resid_init)
     if not np.isfinite(resid) or resid <= 0.0:
-        raise InvalidInputError(f"resid_init must be positive, got {resid}")
+        raise InvalidInputError(f"resid_init must be finite and positive, got {resid}")
     fixed = {_as_index(i, "fixed parameter index"): v for i, v in (fixed or {}).items()}
     for idx, value in fixed.items():
         if not 0 <= idx < k:

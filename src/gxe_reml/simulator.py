@@ -72,9 +72,7 @@ class SimConfig:
                 self.n_markers, self.n_genotypes,
             )
         if not np.isfinite(self.resid_var) or self.resid_var < 0.0:
-            raise InvalidInputError(
-                f"resid_var must be >= 0, got {self.resid_var}"
-            )
+            raise InvalidInputError(f"resid_var must be finite and >= 0, got {self.resid_var}")
         self.true_params = np.atleast_1d(np.asarray(self.true_params, dtype=float))
         p = self.p_environments
         try:

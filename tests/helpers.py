@@ -155,6 +155,11 @@ def dense_reml(dataset: Dataset, sigma: np.ndarray, resid_var: float) -> float:
     Builds V = Z (Sigma kron K) Z^T + resid * I with a materialized
     Kronecker product, then evaluates
     -0.5 * (log|V| + log|X^T V^-1 X| + y^T P y) with dense inverses.
+
+    No oracle as resid_var -> 0 with a centred kinship (K 1 = 0): V is then
+    nearly singular along X, and the log-determinants, which both grow
+    without bound, cancel in round-off.  :func:`contrast_reml` is the
+    oracle there.
     """
     design = build_design(dataset)
     x, z = design.X, design.Z
@@ -197,6 +202,24 @@ def dense_projection(dataset: Dataset, sigma: np.ndarray, resid_var: float) -> n
     v = z @ np.kron(sigma, dataset.kinship.values) @ z.T
     vi = np.linalg.inv(v + resid_var * np.eye(len(v)))
     return vi - vi @ x @ np.linalg.inv(x.T @ vi @ x) @ x.T @ vi
+
+
+def dense_gls_beta(dataset: Dataset, sigma: np.ndarray, resid_var: float) -> np.ndarray:
+    """(X^T V^-1 X)^-1 X^T V^-1 y from a dense inverse, in the reference
+    coding of :func:`build_design`."""
+    design = build_design(dataset)
+    x, z = design.X, design.Z
+    v = z @ np.kron(sigma, dataset.kinship.values) @ z.T
+    vi = np.linalg.inv(v + resid_var * np.eye(len(v)))
+    return np.linalg.solve(x.T @ vi @ x, x.T @ vi @ dataset.values)
+
+
+def centred_kinship(n: int, seed: int) -> RelationshipMatrix:
+    """:func:`random_kinship` centred on both sides, so that K 1 = 0."""
+    kin = random_kinship(n, seed)
+    j = np.eye(n) - 1.0 / n
+    k = j @ kin.values @ j
+    return RelationshipMatrix(0.5 * (k + k.T), list(kin.labels))
 
 
 def dense_score_and_ai(

@@ -189,6 +189,31 @@ class TestUsageErrors:
             capsys, "--interval",
         )
 
+    @pytest.mark.parametrize("flags, needle", [
+        (["--tol", "inf"], "--tol: must be finite and positive"),
+        (["--tol", "nan"], "--tol: must be finite and positive"),
+        (["--resid-init", "inf"], "--resid-init: must be finite and positive"),
+        (["--resid-init", "nan"], "--resid-init: must be finite and positive"),
+    ])
+    def test_non_finite_fit_controls(self, capsys, flags, needle):
+        self.run_expecting_usage(
+            ["fit", "--phenotypes", "x", "--kinship", "k", "--structure",
+             "main", "--out", "o", *flags],
+            capsys, needle,
+        )
+
+    @pytest.mark.parametrize("flags, needle", [
+        (["--window", "0:100", "--interval", "inf"], "--interval: must be finite and positive"),
+        (["--window", "0:100", "--interval", "nan"], "--interval: must be finite and positive"),
+        (["--window", "0:inf"], "--window: lo and hi must be finite"),
+        (["--window", "nan:100"], "--window: lo and hi must be finite"),
+        (["--window=-inf:0"], "--window: lo and hi must be finite"),
+    ])
+    def test_non_finite_env_process_numbers(self, capsys, flags, needle):
+        base = ["env-process", "--weather", "w", "--variables", "rain",
+                "--out-corr", "c", "--out-dist", "d"]
+        self.run_expecting_usage(base + flags, capsys, needle)
+
     def test_help_exits_zero(self, capsys):
         parser = _build_parser()
         sub = next(

@@ -116,6 +116,13 @@ class TestPiecewiseIntercepts:
         with pytest.raises(InvalidInputError):
             piecewise_intercepts([(50, 1.0)], -1, (0, 200))
 
+    @pytest.mark.parametrize("interval, window", [
+        (np.inf, (0, 200)), (np.nan, (0, 200)), (100, (0, np.inf)), (100, (np.nan, 200)),
+    ])
+    def test_non_finite_interval_or_window_named_non_finite(self, interval, window):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            piecewise_intercepts([(50, 1.0)], interval, window)
+
 
 class TestStandardizeRows:
     def test_two_point_row(self):

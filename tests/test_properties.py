@@ -8,7 +8,7 @@ point.  Examples are derandomized so every run checks the same instances.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gxe_reml import (
@@ -28,6 +28,9 @@ from gxe_reml import reml_core
 
 from helpers import (
     build_design,
+    centred_kinship,
+    contrast_reml,
+    dense_gls_beta,
     dense_projection,
     dense_reml,
     dense_score_and_ai,
@@ -206,3 +209,52 @@ def test_complete_trial_points_agree(n, p, kind, seed, resid):
         got, want = np.asarray(spectral[name]), np.asarray(want)
         err = np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
         assert err < 1e-8, f"{structure.kind}: {name} off by {err:.2e}"
+
+
+@SETTINGS
+@given(instances(), st.sampled_from(STRUCTURE_KINDS))
+def test_dense_beta_is_the_gls_estimate(instance, kind):
+    # Both points take beta as the per-environment mean of y - V P y; on
+    # sparse trials (the dense point) it must equal (X'V^-1 X)^-1 X'V^-1 y,
+    # at a drawn point and at the fitted one.
+    dataset, corr, dist, seed = instance
+    assume(dataset.n_records < dataset.n * dataset.p)
+    rng = np.random.default_rng(seed)
+    structure = structure_for(kind, dataset.environment_labels, corr, dist)
+    kappa = draw_kappa(structure, rng)
+    resid = float(rng.uniform(0.4, 1.5))
+    point = reml_core._RemlWorkspace(dataset, structure).point(structure.sigma(kappa), resid)
+    assert isinstance(point, reml_core._PointEvaluation)
+    means = point.beta
+    want = dense_gls_beta(dataset, structure.sigma(kappa), resid)
+    assert_close(np.concatenate([means[:1], means[1:] - means[0]]), want, 1e-9, "point beta")
+    result = fit(dataset, structure, max_iter=20)
+    sigma = structure.sigma(result.kappa_hat)
+    want = dense_gls_beta(dataset, sigma, result.resid_var_hat)
+    assert_close(result.beta_hat, want, 1e-9, "fitted beta")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(5, 10), st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**20),
+       st.sampled_from([kind for kind in STRUCTURE_KINDS if kind != "main"]),
+       st.floats(-30.0, 0.0))
+def test_near_complete_centred_kinship_matches_contrast_oracle(
+    n, p, n_missing, seed, kind, log_resid
+):
+    # A near-complete trial takes the dense point.  With K 1 = 0, V is
+    # nearly singular along X as resid_var -> 0, where only a likelihood in
+    # error contrasts keeps its digits.  main is left out: its Sigma = v J
+    # has rank 1, so L'VL is ill-conditioned in its own right.
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(n * p, size=n_missing, replace=False)
+    missing = {(int(c) % n, int(c) // n) for c in cells}
+    dataset = make_dataset(n, p, seed=seed, missing=missing, kinship=centred_kinship(n, seed))
+    corr = gaussian_reference_corr(p, seed)
+    structure = structure_for(kind, dataset.environment_labels, corr,
+                              random_distance(p, seed + 1, mean_off=4.0))
+    kappa = draw_kappa(structure, rng)
+    resid = float(np.exp(log_resid) * dataset.values.var())
+    want = contrast_reml(dataset, structure.sigma(kappa), resid)
+    got = reml_loglik(dataset, structure, kappa, resid)
+    assert abs(got - want) <= 1e-9 * abs(want), \
+        f"{kind} at resid_var {resid:.3e}: loglik off by {abs(got - want) / abs(want):.2e}"

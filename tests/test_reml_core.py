@@ -172,6 +172,15 @@ class TestBuildDesign:
         with pytest.raises(DesignError):
             reml_loglik(dataset, MainEffect(3), np.array([1.0]), 1.0)
 
+    def test_one_record_per_environment_rejected(self):
+        # Each environment's mean absorbs its only record: no error contrast
+        # is left to estimate a variance from.
+        dataset = make_dataset(3, 3, seed=3).subset([0, 4, 8])
+        with pytest.raises(DesignError, match="no error contrasts"):
+            reml_loglik(dataset, MainEffect(3), np.array([1.0]), 1.0)
+        with pytest.raises(DesignError, match="no error contrasts"):
+            fit(dataset, MainEffect(3))
+
 
 class TestRemlLoglik:
     def test_hand_expanded_four_by_four(self):
@@ -709,6 +718,17 @@ class TestFit:
             fit(dataset, MainEffect(2), resid_init=-1.0)
         with pytest.raises(InvalidInputError):
             fit(dataset, MainEffect(2), fixed={5: 1.0})
+
+    @pytest.mark.parametrize("name, value", [
+        ("tol", np.inf), ("tol", np.nan), ("resid_init", np.inf), ("resid_init", np.nan),
+    ])
+    def test_non_finite_controls_named_non_finite(self, name, value):
+        dataset = make_dataset(4, 2, seed=42)
+        with pytest.raises(InvalidInputError, match=f"^{name} must be finite"):
+            fit(dataset, MainEffect(2), **{name: value})
+        if name == "resid_init":
+            with pytest.raises(InvalidInputError, match="^resid_var must be finite"):
+                reml_loglik(dataset, MainEffect(2), np.array([1.0]), value)
 
     def test_non_integer_max_iter_rejected(self):
         # 1.5 passes max_iter >= 1 but no iteration count ever equals it.

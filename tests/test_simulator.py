@@ -255,6 +255,12 @@ class TestSimulateMet:
         with pytest.raises(InvalidInputError):
             base_config(CorrSingleVar(corr), [1.0], -0.5)
 
+    @pytest.mark.parametrize("resid_var", [np.inf, np.nan])
+    def test_non_finite_resid_var_named_non_finite(self, resid_var):
+        corr = gaussian_reference_corr(2, seed=26)
+        with pytest.raises(InvalidInputError, match="resid_var must be finite"):
+            base_config(CorrSingleVar(corr), [1.0], resid_var)
+
 
 class TestOneBlasPool:
     """Matrices with n rows reach SciPy's LAPACK, never NumPy's, whose
