@@ -18,7 +18,7 @@ own thread pool, and after a threaded call on one, its idle workers spin
 on a core while the other runs.  So every BLAS or LAPACK call on an
 operand with n (genotype) or N (record) rows goes to SciPy
 (``scipy.linalg`` and its ``blas`` / ``lapack`` wrappers): the kinship,
-its factor and eigenvalues, V and its factor, and every product with
+its eigenvalues and eigen root, V and its factor, and every product with
 them.  NumPy's ``@`` and ``numpy.linalg`` get only p x p-sized work,
 too small to start its threads.
 """

@@ -452,11 +452,8 @@ _LOG_LEVELS = {
 
 def _setup_logging() -> None:
     raw = os.environ.get("GXE_REML_LOG", "warn").lower()
-    level = _LOG_LEVELS.get(raw)
-    if level is None:
-        level = logging.WARNING
     logging.basicConfig(
-        stream=sys.stderr, level=level,
+        stream=sys.stderr, level=_LOG_LEVELS.get(raw, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
     if raw not in _LOG_LEVELS:

@@ -37,6 +37,7 @@ from .errors import (
     EmptyBinError,
     GxeRemlError,
     InvalidInputError,
+    NumericalError,
     ZeroVarianceError,
 )
 
@@ -184,6 +185,13 @@ def _psd_eigh(values: np.ndarray, what: str, error: type[GxeRemlError],
             f"(min eigenvalue {eigs[0]:.3e}, max {eigs[-1]:.3e})"
         )
     return out
+
+
+def _eigen_root(values: np.ndarray, what: str) -> np.ndarray:
+    """F with F F^T = ``values`` from :func:`_psd_eigh`, round-off negative
+    eigenvalues set to 0; NumericalError names ``what`` if not PSD."""
+    eigs, vecs = _psd_eigh(values, what, NumericalError, vectors=True)
+    return vecs * np.sqrt(np.clip(eigs, 0.0, None))
 
 
 class EnvCorrelationMatrix(_LabeledMatrix):

@@ -74,8 +74,8 @@ and LAPACK, by the package's one-pool rule (:mod:`gxe_reml`).
 BLUPs at the fitted parameters are u_hat = (Sigma_hat kron K) Z^T P y,
 computed once per fit as the n x p matrix K S Sigma_hat, S scattering
 P y over (genotype, environment) cells: the one BLUP path and K S Sigma
-product (beta reads it too).  ``FitResult.blup_matrix`` holds the result
-and :func:`lookup_cells` reads cells from it.
+product, cached on the point (beta reads it too).  ``FitResult.blup_matrix``
+holds the result and :func:`lookup_cells` reads cells from it.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas, lapack
 
-from .env_features import _LabeledMatrix, _psd_eigh
+from .env_features import _LabeledMatrix, _eigen_root, _psd_eigh
 from .errors import (
     DataError,
     DesignError,
@@ -120,8 +120,8 @@ class RelationshipMatrix(_LabeledMatrix):
     DataError, and required to be positive semidefinite by the package's
     one rule (``_psd_eigh``).  As ``values`` is read-only and the fields
     cannot be reassigned, the contrast eigendecomposition that
-    complete-trial fits share, computed on first use, always describes
-    ``values``.
+    complete-trial fits share and the eigen root the simulator draws
+    through, each computed on first use, always describe ``values``.
     """
 
     _what = "relationship matrix"
@@ -130,6 +130,13 @@ class RelationshipMatrix(_LabeledMatrix):
     def _checked(self, values: np.ndarray) -> np.ndarray:
         _psd_eigh(values, self._what, DataError)
         return values
+
+    @cached_property
+    def _root(self) -> np.ndarray:
+        """F with F F^T = ``values``, its eigen root, read-only."""
+        root = _eigen_root(self.values, self._what)
+        root.setflags(write=False)
+        return root
 
     @cached_property
     def _contrast_basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -241,10 +248,12 @@ def _assemble_covariance(
     sigma: np.ndarray, resid_var: float, env_idx: np.ndarray, k: np.ndarray
 ) -> np.ndarray:
     """V_rs = Sigma[e_r, e_s] k_rs + resid_var [r == s] in Fortran order, for
-    a Fortran-ordered ``k``; right in the triangles where ``k`` is."""
+    a Fortran-ordered ``k``; right in the triangles where ``k`` is.  Callers
+    check V for overflow, so it is not warned about."""
     v = np.take(sigma[env_idx], env_idx, axis=1)
-    v.T[...] *= k
-    v.flat[:: len(env_idx) + 1] += resid_var
+    with np.errstate(over="ignore", invalid="ignore"):
+        v.T[...] *= k
+        v.flat[:: len(env_idx) + 1] += resid_var
     return v.T
 
 
@@ -342,13 +351,17 @@ def _derivative_tail(
 
 
 class _Point:
-    """What both likelihood points share: beta from P y."""
+    """What both likelihood points share: the BLUPs and beta from P y."""
+
+    @cached_property
+    def blups(self) -> np.ndarray:
+        return _cell_blups(self.ws.dataset, self.py, self.sigma)
 
     @cached_property
     def beta(self) -> np.ndarray:
         # y - V P y = X beta: per environment, the mean of y - blups - resid_var P y.
         ws = self.ws
-        blups = _cell_blups(ws.dataset, self.py, self.sigma)[ws.gen_idx, ws.env_idx]
+        blups = self.blups[ws.gen_idx, ws.env_idx]
         fixed = ws.dataset.values - blups - self.resid_var * self.py
         return np.bincount(ws.env_idx, fixed) / ws.counts
 
@@ -422,10 +435,11 @@ class _SpectralPoint(_Point):
 
     def __init__(self, ws: "_RemlWorkspace", sigma: np.ndarray, resid_var: float):
         self.ws, self.sigma, self.resid_var = ws, sigma, resid_var
-        chol = ws.d[:, None, None] * sigma
-        chol += resid_var * np.eye(len(sigma))
-        # A block whose trace overflows has eigenvalues near the double range.
-        traces = np.trace(chol, axis1=1, axis2=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            chol = ws.d[:, None, None] * sigma
+            chol += resid_var * np.eye(len(sigma))
+            # A block whose trace overflows has eigenvalues near the double range.
+            traces = np.trace(chol, axis1=1, axis2=2)
         if not (np.all(np.isfinite(chol)) and np.all(np.isfinite(traces))):
             raise NumericalError("covariance matrix is not finite")
         # B_i is symmetric, so its C-ordered transpose is B_i in Fortran
@@ -794,7 +808,7 @@ def fit(
         loglik_trace=np.asarray(trace),
         ai_matrix=ai,
         param_names=param_names,
-        blup_matrix=_cell_blups(dataset, cur.py, cur.sigma),
+        blup_matrix=cur.blups,
         genotype_labels=list(dataset.genotype_labels),
         environment_labels=list(dataset.environment_labels),
         termination=termination,

@@ -8,7 +8,8 @@ and genetic values are drawn from N(0, Sigma kron K) without materializing
 the Kronecker product: with factors Sigma = L_S L_S^T and K = L_K L_K^T,
 U = L_K Z L_S^T for an n x p standard normal Z has
 Cov(vec(U)) = Sigma kron K (column-major vec, i.e. environment-major
-cells, matching the model's cell ordering).
+cells, matching the model's cell ordering).  L_K is K's eigen root,
+computed once per RelationshipMatrix and shared by every draw on it.
 
 All randomness flows from ``numpy.random.default_rng`` (PCG64) seeded from
 the config; identical configs give bit-identical output.  Statistical (not
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas
 
-from .env_features import _psd_eigh
-from .errors import InvalidInputError, NumericalError
+from .env_features import _eigen_root
+from .errors import InvalidInputError
 from .reml_core import Dataset, PhenotypeRecord, RelationshipMatrix
 from .variance_structures import VarianceStructure
 
@@ -60,11 +61,9 @@ class SimConfig:
                 f"{self.n_genotypes} and {self.n_markers}"
             )
         if self.kinship is not None:
-            if self.kinship.values.shape[0] != self.n_genotypes:
+            if (n_kin := len(self.kinship.values)) != self.n_genotypes:
                 raise InvalidInputError(
-                    f"kinship is {self.kinship.values.shape[0]} x "
-                    f"{self.kinship.values.shape[0]} but n_genotypes is "
-                    f"{self.n_genotypes}"
+                    f"kinship is {n_kin} x {n_kin} but n_genotypes is {self.n_genotypes}"
                 )
         elif self.n_markers < self.n_genotypes:
             logger.warning(
@@ -149,26 +148,13 @@ def kinship_from_markers(
     return RelationshipMatrix(k, list(labels))
 
 
-def _eigen_root(mat: np.ndarray, what: str) -> np.ndarray:
-    """A factor L with L L^T = mat, negative round-off set to 0."""
-    eigs, vecs = _psd_eigh(mat, what, NumericalError, vectors=True)
-    return vecs * np.sqrt(np.clip(eigs, 0.0, None))
-
-
 def _psd_factor(mat: np.ndarray, what: str) -> np.ndarray:
-    """A factor L with L L^T = mat for a p x p ``mat``, tolerating
-    PSD-boundary matrices."""
+    """A factor L with L L^T = mat for a p x p ``mat``: its Cholesky
+    factor, else (PSD-boundary matrices, zero included) its eigen root."""
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         return _eigen_root(mat, what)
-
-
-def _kinship_factor(kin: np.ndarray) -> np.ndarray:
-    """As :func:`_psd_factor`, for the n x n kinship on SciPy's LAPACK
-    (the package's one-pool rule)."""
-    chol, info = lapack.dpotrf(kin, lower=1)
-    return chol if info == 0 else _eigen_root(kin, "kinship")
 
 
 def simulate_met(config: SimConfig) -> SimOutput:
@@ -180,21 +166,15 @@ def simulate_met(config: SimConfig) -> SimOutput:
     p = config.p_environments
     root = np.random.SeedSequence(config.seed)
     marker_seed, draw_seed = root.spawn(2)
-    if config.kinship is not None:
-        kinship = config.kinship
-    else:
+    kinship = config.kinship
+    if kinship is None:
         markers = simulate_markers(config.n_genotypes, config.n_markers, marker_seed)
         kinship = kinship_from_markers(markers)
-    sigma = config.structure.sigma(config.true_params)
-    if np.all(sigma == 0.0):
-        l_sigma = np.zeros((p, p))
-    else:
-        l_sigma = _psd_factor(sigma, "truth covariance")
-    l_k = _kinship_factor(kinship.values)
+    l_sigma = _psd_factor(config.structure.sigma(config.true_params), "truth covariance")
     rng = np.random.default_rng(draw_seed)
     z = rng.standard_normal((config.n_genotypes, p))
     # L_K Z as (Z^T L_K^T)^T, the product NumPy's row-major matmul forms.
-    u = blas.dgemm(1.0, z.T, l_k.T).T @ l_sigma.T
+    u = blas.dgemm(1.0, z.T, kinship._root.T).T @ l_sigma.T
     eps = rng.standard_normal((config.n_genotypes, p)) * np.sqrt(config.resid_var)
     y = config.env_means[None, :] + u + eps
     env_labels = config.environment_labels

@@ -339,6 +339,49 @@ class TestFitCommand:
         assert [r.getMessage() for r in caplog.records if "clamped" in r.getMessage()] \
             == ["clamped at lower boundary: resid_var"]
 
+    def test_environments_take_first_appearance_order(self, tmp_path, workspace):
+        # Without --corr or --dist the phenotypes order the environments:
+        # reversed records put the last environment first, as the reference.
+        lines = (workspace["sim"] / "phenotypes.csv").read_text().splitlines()
+        reversed_path = tmp_path / "reversed.csv"
+        reversed_path.write_text("\n".join([lines[0], *lines[:0:-1]]) + "\n")
+        rc = main([
+            "fit", "--phenotypes", str(reversed_path),
+            "--kinship", str(workspace["sim"] / "kinship.csv"),
+            "--structure", "main", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        envs = workspace["env_labels"][::-1]
+        rows = read_csv_rows(tmp_path / "out" / "params.csv")
+        assert [row[0] for row in rows if row[0].startswith("beta")] == \
+            ["beta[intercept]"] + [f"beta[env:{env}]" for env in envs[1:]]
+        blup_envs = [row[1] for row in read_csv_rows(tmp_path / "out" / "blups.csv")[1:]]
+        assert list(dict.fromkeys(blup_envs)) == envs
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["complete", "sparse"])
+    def test_overflowing_start_is_one_line_and_exit_3(self, tmp_path, workspace,
+                                                       capsys, sparse):
+        # V overflows at the start on either likelihood point: exit 3 with the
+        # one message, no NumPy warning before it, and nothing written.
+        phenotypes = workspace["sim"] / "phenotypes.csv"
+        if sparse:
+            lines = phenotypes.read_text().splitlines()
+            phenotypes = tmp_path / "sparse.csv"
+            # the header and two thirds of the records
+            phenotypes.write_text("\n".join(
+                line for i, line in enumerate(lines) if i % 3 != 1) + "\n")
+        rc = main([
+            "fit", "--phenotypes", str(phenotypes),
+            "--kinship", str(workspace["sim"] / "kinship.csv"),
+            "--structure", "main", "--init", "1e308", "--resid-init", "1e308",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "gxe-reml: numerical failure: covariance matrix is not finite"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_phenotype_value(self, tmp_path, workspace, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("genotype,environment,value\ng1,E0,abc\n")

@@ -405,11 +405,16 @@ class TestRunCv:
             return result
 
         monkeypatch.setattr(cv, "fit", recording_fit)
+        # No genetic variance in the truth: the phenotypes are noise alone,
+        # whatever the kinship's factor, and drive variances to their bound.
+        # A zero truth implies no correlation, so corr is given.
+        config = dataclasses.replace(tiny_sim_config(seed=56), true_params=[0.0])
         with caplog.at_level("WARNING", logger="gxe_reml"):
             report = run_cv(
                 ["diag", "cor1"],
                 design(2, 1, replicates=2, seed=55),
-                sim_config=tiny_sim_config(seed=56),
+                sim_config=config,
+                corr=gaussian_reference_corr(3, seed=156),
                 lambdas=[0.0, 0.5],
             )
         assert len(clamped) == len(report) == 6

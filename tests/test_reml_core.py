@@ -104,6 +104,16 @@ class TestDataset:
             Dataset(records, kin, envs)
         assert str(failure.value) == message
 
+    @pytest.mark.parametrize("labels, message", [
+        (["E0", "E1", "E0"], "environment labels contain duplicates"),
+        ([], "at least one environment label is required"),
+    ], ids=["repeated", "none"])
+    def test_environment_labels_checked(self, labels, message):
+        records, kin, _ = self.records(3, 2)
+        with pytest.raises(DataError) as failure:
+            Dataset(records, kin, labels)
+        assert str(failure.value) == message
+
     def test_matches_a_record_by_record_scan(self):
         records, kin, envs = self.records(5, 3)
         rng = np.random.default_rng(81)
@@ -251,7 +261,6 @@ class TestRemlLoglik:
         with pytest.raises(InvalidInputError):
             reml_loglik(dataset, MainEffect(2), np.array([1.0]), 0.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_covariance_is_numerical_error(self):
         for kin in (None, RelationshipMatrix(2.0 * np.eye(3), ["a", "b", "c"])):
             dataset = make_dataset(3, 2, seed=13, kinship=kin)
@@ -758,6 +767,52 @@ class TestFit:
         with pytest.raises(InvalidInputError,
                            match=f"^kern1 parameter '{name}' must be positive"):
             fit(dataset, structure, **start)
+
+
+class TestInputChecks:
+    """A structure must describe the dataset's environments, and a fit needs
+    phenotypes that vary."""
+
+    @pytest.mark.parametrize("structure, message", [
+        (MainEffect(3), "structure covers 3 environments but the dataset has 2"),
+        (DiagonalVariance(2, ["X", "Y"]),
+         "structure environment labels do not match the dataset "
+         "(structure: ['X', 'Y'], dataset: ['E0', 'E1'])"),
+    ], ids=["p", "labels"])
+    @pytest.mark.parametrize("entry", [
+        lambda dataset, structure: fit(dataset, structure),
+        lambda dataset, structure: reml_loglik(
+            dataset, structure, np.ones(structure.n_params), 1.0),
+    ], ids=["fit", "reml_loglik"])
+    def test_structure_must_match_the_dataset(self, entry, structure, message):
+        with pytest.raises(InvalidInputError) as failure:
+            entry(make_dataset(4, 2, seed=90), structure)
+        assert str(failure.value) == message
+
+    def test_constant_phenotypes_rejected(self):
+        dataset = make_dataset(4, 2, seed=91, y=np.full(8, 1.5))
+        with pytest.raises(DataError) as failure:
+            fit(dataset, MainEffect(2))
+        assert str(failure.value) == "phenotype variance is zero; nothing to decompose"
+
+
+@pytest.mark.parametrize("complete", [True, False], ids=["complete", "sparse"])
+def test_one_blup_product_per_fit(monkeypatch, complete):
+    # K S Sigma is formed once at the fitted point, for beta and the BLUPs.
+    dataset = make_dataset(9, 4, seed=92) if complete else sparse_dataset()
+    calls = []
+    blups = reml_core._cell_blups
+
+    def counting(*args):
+        calls.append(1)
+        return blups(*args)
+
+    monkeypatch.setattr(reml_core, "_cell_blups", counting)
+    result = fit(dataset, DiagonalVariance(4))
+    assert len(calls) == 1
+    point = reml_core._point_at(dataset, result.structure, result.kappa_hat,
+                                result.resid_var_hat)
+    assert np.array_equal(result.blup_matrix, blups(dataset, point.py, point.sigma))
 
 
 class TestSpectralPath:

@@ -4,8 +4,11 @@ The deep check is a Monte Carlo oracle: stacked genetic draws under a
 fixed kinship must reproduce Sigma kron K in sample covariance.
 """
 
+import pickle
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gxe_reml import (
     CorrSingleVar,
@@ -260,6 +263,41 @@ class TestSimulateMet:
         corr = gaussian_reference_corr(2, seed=26)
         with pytest.raises(InvalidInputError, match="resid_var must be finite"):
             base_config(CorrSingleVar(corr), [1.0], resid_var)
+
+
+class TestKinshipRoot:
+    """The simulator draws through the kinship's eigen root, computed once
+    per RelationshipMatrix."""
+
+    def test_one_eigendecomposition_per_kinship(self, monkeypatch):
+        n = 12
+        kin = random_kinship(n, seed=31)
+        corr = gaussian_reference_corr(2, seed=32)
+        config = base_config(CorrSingleVar(corr), [1.0], 0.5, n=n, seed=32, kinship=kin)
+        calls = []
+        for owner, name in ((scipy.linalg, "eigh"), (scipy.linalg.lapack, "dpotrf")):
+            def spy(a, *args, _name=name, _original=getattr(owner, name), **kwargs):
+                calls.append((_name, np.shape(a), kwargs.get("eigvals_only", False)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        outs = [simulate_met(config) for _ in range(3)]
+        assert [call for call in calls if call[1] == (n, n)] == [("eigh", (n, n), False)], \
+            "one eigendecomposition with vectors, and no n x n potrf"
+        assert all(np.array_equal(out.dataset.values, outs[0].dataset.values)
+                   for out in outs)
+        root = kin._root
+        assert np.allclose(root @ root.T, kin.values, rtol=0.0, atol=1e-12)
+
+    def test_root_is_read_only_in_a_pickled_copy(self):
+        kin = random_kinship(5, seed=33)
+        kin._root
+        # A CV worker receives the kinship pickled, with its root.
+        for copy in (kin, pickle.loads(pickle.dumps(kin))):
+            assert "_root" in vars(copy)
+            with pytest.raises(ValueError):
+                copy._root[0, 0] = 1.0
+            assert np.array_equal(copy._root, kin._root)
 
 
 class TestOneBlasPool:
