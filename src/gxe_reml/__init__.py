@@ -54,7 +54,6 @@ from .variance_structures import (
     STRUCTURE_KINDS,
     CorrMultiVar,
     CorrSingleVar,
-    CovarianceWithDerivatives,
     DiagonalVariance,
     KernelAveraging,
     KernelMultiVar,
@@ -103,10 +102,10 @@ __all__ = [
     "DataError", "DesignError", "EmptyBinError", "GxeRemlError",
     "InvalidInputError", "NumericalError", "UnknownLabelError",
     "ZeroVarianceError",
-    "STRUCTURE_KINDS", "CorrMultiVar", "CorrSingleVar",
-    "CovarianceWithDerivatives", "DiagonalVariance", "KernelAveraging",
-    "KernelMultiVar", "KernelSingleVar", "MainEffect", "VarianceStructure",
-    "average_kernel", "build_structure", "gaussian_kernel", "mean_offdiag",
+    "STRUCTURE_KINDS", "CorrMultiVar", "CorrSingleVar", "DiagonalVariance",
+    "KernelAveraging", "KernelMultiVar", "KernelSingleVar", "MainEffect",
+    "VarianceStructure", "average_kernel", "build_structure",
+    "gaussian_kernel", "mean_offdiag",
     "CellPrediction", "Dataset", "FitResult", "PhenotypeRecord",
     "RelationshipMatrix", "fit", "lookup_cells", "reml_loglik",
     "score_and_ai",

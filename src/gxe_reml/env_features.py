@@ -41,6 +41,11 @@ from .errors import (
     ZeroVarianceError,
 )
 
+# Development thresholds of gdd_daily, Fahrenheit.
+_GDD_BASE = 50.0
+_GDD_CEILING = 86.0
+_STANDARDIZED_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class DailyWeatherRecord:
@@ -91,13 +96,13 @@ class EnvFeatureMatrix:
     def p(self) -> int:
         return self.values.shape[1]
 
-    def check_standardized(self, tol: float = 1e-8) -> None:
-        """Raise unless every row has mean 0 and population sd 1 within tol."""
+    def check_standardized(self) -> None:
+        """Raise unless every row has mean 0 and population sd 1 within 1e-8."""
         means = self.values.mean(axis=1)
         sds = self.values.std(axis=1)
-        if np.max(np.abs(means), initial=0.0) > tol or np.max(
+        if np.max(np.abs(means), initial=0.0) > _STANDARDIZED_TOL or np.max(
             np.abs(sds - 1.0), initial=0.0
-        ) > tol:
+        ) > _STANDARDIZED_TOL:
             raise InvalidInputError(
                 "feature matrix rows are not standardized to mean 0, sd 1"
             )
@@ -225,18 +230,16 @@ class EnvDistanceMatrix(_LabeledMatrix):
         return self.values.shape[0]
 
 
-def gdd_daily(t_min: float, t_max: float, base: float = 50.0, ceiling: float = 86.0) -> float:
+def gdd_daily(t_min: float, t_max: float) -> float:
     """Daily heat units from min/max temperature.
 
-    The minimum is floored at ``base`` and the maximum capped at ``ceiling``
-    before averaging; the value may be negative on cold days (no flooring of
-    the result).
+    The minimum is floored at the lower development threshold, base = 50,
+    and the maximum capped at the upper one, ceiling = 86, before averaging;
+    the value may be negative on cold days (no flooring of the result).
 
     Args:
         t_min: Daily minimum temperature.
         t_max: Daily maximum temperature.
-        base: Lower development threshold (also subtracted from the mean).
-        ceiling: Upper development threshold.
 
     Returns:
         ((max(t_min, base) + min(t_max, ceiling)) / 2) - base.
@@ -245,7 +248,7 @@ def gdd_daily(t_min: float, t_max: float, base: float = 50.0, ceiling: float = 8
         raise InvalidInputError("temperatures must be finite")
     if t_min > t_max:
         raise InvalidInputError(f"t_min {t_min} exceeds t_max {t_max}")
-    return (max(t_min, base) + min(t_max, ceiling)) / 2.0 - base
+    return (max(t_min, _GDD_BASE) + min(t_max, _GDD_CEILING)) / 2.0 - _GDD_BASE
 
 
 def gdd_accumulate(pairs: Iterable[tuple[float, float]]) -> np.ndarray:

@@ -100,7 +100,6 @@ from .errors import (
 )
 from .variance_structures import VarianceStructure
 
-_LOG_LOWER_BOUND = -30.0
 _MAX_HALVINGS = 30
 
 
@@ -390,7 +389,7 @@ class _PointEvaluation(_Point):
         Consumes the Cholesky factor, which potri overwrites with the
         inverse's lower triangle, so it runs at most once per point."""
         ws = self.ws
-        derivs = structure.evaluate(kappa).derivs
+        derivs = structure.derivs(kappa)
         p_low, info = lapack.dpotri(self.chol, lower=1, overwrite_c=1)
         if info != 0:
             raise NumericalError(f"triangular inversion failed (potri info {info})")
@@ -458,7 +457,9 @@ class _SpectralPoint(_Point):
         self.inv_chol = inv_chol = np.linalg.inv(chol)
         z = np.einsum("ijk,ik->ij", inv_chol, ws.y)
         self.r = np.einsum("ikj,ik->ij", inv_chol, z)
-        self.loglik = -0.5 * (logdet_v + float(np.sum(z * z)) + ws.logdet_xx)
+        # An overflowing quadratic form is reported by _RemlWorkspace.point.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.loglik = -0.5 * (logdet_v + float(np.sum(z * z)) + ws.logdet_xx)
 
     @cached_property
     def py(self) -> np.ndarray:
@@ -471,7 +472,7 @@ class _SpectralPoint(_Point):
         T - Q = sum_i d_i U_i^T U_i - (d r)^T r, tr P = sum_i |U_i|^2 and AI
         sums (U_i w_i)^T U_i w_i, w_i = d_i dSigma r_i (r_i for resid_var)."""
         d, r, u = self.ws.d, self.r, self.inv_chol
-        derivs = structure.evaluate(kappa).derivs
+        derivs = structure.derivs(kappa)
         dr = r * d[:, None]
         # sum_i d_i U_i^T U_i as one product of the stacked sqrt(d_i) U_i.
         root = (u * np.sqrt(d)[:, None, None]).reshape(-1, len(self.sigma))
@@ -686,10 +687,14 @@ def fit(
 
     Each accepted step factors one trial point (module docstring), which is
     reused for the derivatives, plus one per rejected halving.  Trial points
-    whose parameters overflow are skipped without factoring.  A
-    parameter at the lower bound pushed further down is left out of the step,
-    and a log-scale step is clipped to +-5, or scaled whole to that size when
-    clipping would leave it no ascent direction.
+    whose parameters overflow are skipped without factoring.  Each
+    parameter's lower bound is e^-30 times its default start
+    (``structure.initial_params(var(y))``, 0.5 * var(y) for resid_var),
+    whatever ``init`` is, so bounds follow the units of y and D.  A step
+    reaching a bound stops there and lists the parameter in
+    ``boundary_params``; a parameter at its bound pushed further down is
+    left out of the step.  A log-scale step is clipped to +-5, or scaled
+    whole to that size when clipping would leave it no ascent direction.
 
     Args:
         dataset: Observed records plus kinship.
@@ -720,9 +725,9 @@ def fit(
     if y_var <= 0.0:
         raise DataError("phenotype variance is zero; nothing to decompose")
     k = structure.n_params
-    start = structure.initial_params(y_var) if init is None else init
-    kappa = structure._check_kappa(start, strict=True).copy()
-    resid = 0.5 * y_var if resid_init is None else float(resid_init)
+    default = np.append(structure.initial_params(y_var), 0.5 * y_var)
+    kappa = structure._check_kappa(default[:k] if init is None else init, strict=True).copy()
+    resid = default[k] if resid_init is None else float(resid_init)
     if not np.isfinite(resid) or resid <= 0.0:
         raise InvalidInputError(f"resid_init must be finite and positive, got {resid}")
     fixed = {_as_index(i, "fixed parameter index"): v for i, v in (fixed or {}).items()}
@@ -735,6 +740,7 @@ def fit(
     structure._check_kappa(kappa, strict=True)
 
     params = np.concatenate([kappa, [resid]])
+    floor = np.log(default) - 30.0
     free = np.array([i not in fixed for i in range(k)] + [True])
     eta = np.log(params)
     param_names = structure.param_names() + ["resid_var"]
@@ -750,7 +756,7 @@ def fit(
     while True:
         g_eta = grad * params
         # Halving a step that pushes a pinned coordinate down gains nothing.
-        moving = free & ~((eta <= _LOG_LOWER_BOUND) & (g_eta < 0.0))
+        moving = free & ~((eta <= floor) & (g_eta < 0.0))
         step = np.zeros(k + 1)
         decrement = 0.0
         if moving.any():
@@ -772,8 +778,8 @@ def fit(
         accepted = None
         for half in range(_MAX_HALVINGS + 1):
             eta_new = eta + step / (2.0**half)
-            clamped = free & (eta_new < _LOG_LOWER_BOUND)
-            eta_new[clamped] = _LOG_LOWER_BOUND
+            clamped = free & (eta_new <= floor)
+            eta_new[clamped] = floor[clamped]
             params_new = np.exp(eta_new)
             params_new[~free] = params[~free]
             if not np.all(np.isfinite(params_new)):

@@ -2,9 +2,12 @@
 
 The genetic effects of one genotype across p environments carry covariance
 Sigma(kappa), a p x p matrix parameterized by a short positive vector kappa.
-Every structure provides Sigma itself plus the per-parameter derivative
-matrices dSigma/dkappa_i consumed by the average-information updates, so new
-structures plug into the fitting loop without touching it.
+Every structure answers the three questions the likelihood asks, so new
+structures plug into the fitting loop without touching it: ``sigma(kappa)``
+at each trial point, for kappa >= 0 (zero components are legitimate when
+simulating), and the derivatives dSigma/dkappa_i, ``derivs(kappa)``, and
+``curvature(kappa, m)`` at each accepted point, for kappa > 0 strictly
+because the multi-variance derivatives contain 1/s_i factors.
 
 A new structure is one subclass declaring its ``kind`` tag and the input it
 is built from, ``needs``: ``"p"`` (environment count or labels), ``"corr"``
@@ -46,17 +49,12 @@ D^2 * K.  d2S vanishes for var * J; per environment its (i, j) and (j, i)
 entries are 0.25 / (s_i s_j) for var_i, var_j (i != j), and its (i, b) and
 (b, i) entries are -0.25 * s_b / s_i^3 for var_i twice (b != i).  C is
 zero for ``main``, ``diag``, ``cor1`` and ``ka``, which are linear in kappa.
-
-``sigma(kappa)`` accepts kappa >= 0 (covariance only; zero components are
-legitimate when simulating), while ``evaluate(kappa)`` requires kappa > 0
-strictly because the multi-variance derivatives contain 1/s_i factors.
 """
 
 from __future__ import annotations
 
 import abc
 import logging
-from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -65,14 +63,6 @@ from .env_features import EnvCorrelationMatrix, EnvDistanceMatrix, _psd_eigh
 from .errors import InvalidInputError
 
 logger = logging.getLogger(__name__)
-
-@dataclass
-class CovarianceWithDerivatives:
-    """Sigma(kappa) together with dSigma/dkappa_i for each parameter."""
-
-    sigma: np.ndarray
-    derivs: list[np.ndarray]
-
 
 def gaussian_kernel(dist: EnvDistanceMatrix | np.ndarray, theta: float) -> np.ndarray:
     """Entrywise Gaussian kernel exp(-theta * D) over squared distances.
@@ -158,10 +148,9 @@ class VarianceStructure(abc.ABC):
         """Sigma(kappa) alone; kappa >= 0 entrywise is accepted."""
         return self._sigma(self._check_kappa(kappa, strict=False))
 
-    def evaluate(self, kappa: np.ndarray) -> CovarianceWithDerivatives:
-        """Sigma(kappa) and all dSigma/dkappa_i; kappa must be > 0."""
-        kappa = self._check_kappa(kappa, strict=True)
-        return CovarianceWithDerivatives(self._sigma(kappa), self._derivs(kappa))
+    def derivs(self, kappa: np.ndarray) -> list[np.ndarray]:
+        """dSigma/dkappa_i for each parameter, in layout order; kappa > 0."""
+        return self._derivs(self._check_kappa(kappa, strict=True))
 
     @abc.abstractmethod
     def _sigma(self, kappa: np.ndarray) -> np.ndarray: ...
@@ -371,10 +360,12 @@ class KernelAveraging(VarianceStructure):
         return total, c
 
     def _sigma(self, kappa):
-        if float(kappa.sum()) == 0.0:
-            return np.zeros((self.p, self.p))
-        total, c = self._combine(kappa)
-        return total * c
+        # Weights that overflow their sum give a non-finite Sigma, which fit rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if float(kappa.sum()) == 0.0:
+                return np.zeros((self.p, self.p))
+            total, c = self._combine(kappa)
+            return total * c
 
     def _derivs(self, kappa):
         return [kern.copy() for kern in self.kernels]
@@ -390,7 +381,7 @@ def average_kernel(
 
     Returns (sum_m var_m, sum_m var_m / total * exp(-theta_m * D)); their
     product reconstructs Sigma(kappa) exactly, bit for bit, because
-    ``evaluate`` builds Sigma through the same combination.
+    ``sigma`` builds it through the same combination.
     """
     if not isinstance(structure, KernelAveraging):
         raise InvalidInputError(

@@ -236,9 +236,9 @@ def dense_score_and_ai(
     z = build_design(dataset).Z
     y = dataset.values
     kin = dataset.kinship.values
-    ev = structure.evaluate(np.asarray(kappa, dtype=float))
-    proj = dense_projection(dataset, ev.sigma, resid_var)
-    vdots = [z @ np.kron(d, kin) @ z.T for d in ev.derivs] + [np.eye(len(y))]
+    kappa = np.asarray(kappa, dtype=float)
+    proj = dense_projection(dataset, structure.sigma(kappa), resid_var)
+    vdots = [z @ np.kron(d, kin) @ z.T for d in structure.derivs(kappa)] + [np.eye(len(y))]
     py = proj @ y
     score = np.array(
         [-0.5 * (np.trace(proj @ vd) - py @ vd @ py) for vd in vdots]

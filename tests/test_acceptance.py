@@ -69,7 +69,7 @@ def test_criterion_01_covariance_derivatives():
             rng = np.random.default_rng(300 + p)
             for _ in range(20):
                 kappa = draw(rng)
-                derivs = structure.evaluate(kappa).derivs
+                derivs = structure.derivs(kappa)
                 for i in range(len(kappa)):
                     h = 1e-6 * max(1.0, abs(kappa[i]))
                     up, down = kappa.copy(), kappa.copy()
@@ -203,7 +203,7 @@ def test_criterion_06_kernel_average_reconstruction():
         kappa = rng.uniform(0.1, 2.0, size=m)
         total, averaged = average_kernel(kappa, structure)
         ok = ok and np.array_equal(
-            total * averaged, structure.evaluate(kappa).sigma
+            total * averaged, structure.sigma(kappa)
         )
     line = record(
         6, "averaged kernel reconstructs its covariance bit for bit", ok,

@@ -358,11 +358,22 @@ class TestFitCommand:
         blup_envs = [row[1] for row in read_csv_rows(tmp_path / "out" / "blups.csv")[1:]]
         assert list(dict.fromkeys(blup_envs)) == envs
 
-    @pytest.mark.parametrize("sparse", [False, True], ids=["complete", "sparse"])
+    @pytest.mark.parametrize("sparse, start, message", [
+        (False, ["main", "--init", "1e308", "--resid-init", "1e308"],
+         "covariance matrix is not finite"),
+        (True, ["main", "--init", "1e308", "--resid-init", "1e308"],
+         "covariance matrix is not finite"),
+        (False, ["ka", "--init", ",".join(["1e308"] * 7)],
+         "covariance matrix is not finite"),
+        (False, ["main", "--init", "1e-300", "--resid-init", "1e-308"],
+         "restricted log-likelihood is not finite"),
+    ], ids=["complete", "sparse", "ka", "complete-quadratic-form"])
     def test_overflowing_start_is_one_line_and_exit_3(self, tmp_path, workspace,
-                                                       capsys, sparse):
-        # V overflows at the start on either likelihood point: exit 3 with the
-        # one message, no NumPy warning before it, and nothing written.
+                                                       capsys, sparse, start, message):
+        # V overflows at the start on either likelihood point, ka's weights
+        # overflow their sum, or a complete trial's quadratic form overflows:
+        # exit 3 with the one message, no NumPy warning before it, and
+        # nothing written.
         phenotypes = workspace["sim"] / "phenotypes.csv"
         if sparse:
             lines = phenotypes.read_text().splitlines()
@@ -370,15 +381,20 @@ class TestFitCommand:
             # the header and two thirds of the records
             phenotypes.write_text("\n".join(
                 line for i, line in enumerate(lines) if i % 3 != 1) + "\n")
+        if start[0] == "ka":
+            labels = workspace["env_labels"]
+            dist_path = tmp_path / "dist.csv"
+            dist = random_distance(3, seed=62, mean_off=4.0)
+            gio.write_matrix_csv(dist_path, dist.values, labels, labels)
+            start = start + ["--dist", str(dist_path)]
         rc = main([
             "fit", "--phenotypes", str(phenotypes),
             "--kinship", str(workspace["sim"] / "kinship.csv"),
-            "--structure", "main", "--init", "1e308", "--resid-init", "1e308",
-            "--out", str(tmp_path / "out"),
+            "--structure", *start, "--out", str(tmp_path / "out"),
         ])
         assert rc == 3
         assert capsys.readouterr().err.splitlines() == [
-            "gxe-reml: numerical failure: covariance matrix is not finite"
+            f"gxe-reml: numerical failure: {message}"
         ]
         assert not (tmp_path / "out").exists()
 

@@ -249,6 +249,15 @@ class TestEnvDistance:
         assert np.array_equal(np.diag(dist.values), np.zeros(6))
         assert np.all(dist.values >= 0.0)
 
+    @pytest.mark.parametrize("values, message", [
+        ([[0.0, 1.0], [1.0, 1e-9]], "distance matrix diagonal must be zero"),
+        ([[0.0, -1e-9], [-1e-9, 0.0]], "distance matrix contains negative entries"),
+    ], ids=["diagonal", "negative"])
+    def test_beyond_round_off_rejected(self, values, message):
+        with pytest.raises(InvalidInputError) as info:
+            EnvDistanceMatrix(np.array(values), ["a", "b"])
+        assert str(info.value) == message
+
 
 # (class, its error, what its messages call it, a valid 3 x 3 instance's values)
 LABELED = [
@@ -479,6 +488,16 @@ class TestWeatherPipeline:
         )
         assert features.shape == (2, 2)
         assert all(lab.startswith("rain@") for lab in labels)
+
+    @pytest.mark.parametrize("n_days, variables, error, message", [
+        (0, ["t_min"], DataError, "no weather records supplied"),
+        (10, [], InvalidInputError, "at least one variable is required"),
+    ], ids=["no-records", "no-variables"])
+    def test_nothing_to_summarise(self, n_days, variables, error, message):
+        records = _weather("E1", range(1, n_days + 1))
+        with pytest.raises(error) as info:
+            weather_to_features(records, variables, 100.0, (0.0, 100.0))
+        assert type(info.value) is error and str(info.value) == message
 
     def test_unknown_variable_rejected(self):
         records = _weather("E1", range(1, 11))

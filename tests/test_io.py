@@ -15,6 +15,7 @@ from gxe_reml import (
     CvRow,
     DataError,
     DiagonalVariance,
+    GxeRemlError,
     MainEffect,
     PhenotypeRecord,
     SimConfig,
@@ -323,12 +324,35 @@ class TestReaderErrors:
             path = write_text(tmp_path / "m.csv", ",a,b", "a,1,0", f"b,0,{bad}")
             self.raises(gio.read_matrix_csv, path, "row 3", "'b'", repr(bad))
 
+    def test_matrix_without_column_labels(self, tmp_path):
+        path = write_text(tmp_path / "m.csv", "label", "a")
+        self.raises(gio.read_matrix_csv, path, "expected a labeled matrix with a header row")
+
+    @pytest.mark.parametrize("read, lines, message", [
+        (gio.read_kinship_csv, [",A,B", "A,1,2", "B,2,1"],
+         "relationship matrix is not positive semidefinite"),
+        (gio.read_distance_csv, [",a,b", "a,1,2", "b,2,0"],
+         "distance matrix diagonal must be zero"),
+    ], ids=["kinship", "distance"])
+    def test_matrix_check_names_the_file(self, tmp_path, read, lines, message):
+        path = write_text(tmp_path / "m.csv", *lines)
+        with pytest.raises(GxeRemlError) as info:
+            read(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+
     def test_square_matrix_labels(self, tmp_path):
         path = write_text(tmp_path / "m.csv", ",a,b", "a,1,0", "c,0,1")
         self.raises(gio.read_kinship_csv, path, "row labels differ")
 
     def test_missing_file(self, tmp_path):
         self.raises(gio.read_phenotypes_csv, tmp_path / "nope.csv", "cannot read")
+
+
+def test_config_line_without_equals_sign(tmp_path):
+    path = write_text(tmp_path / "c.cfg", "out = fit", "structure main")
+    with pytest.raises(DataError) as info:
+        gio.read_config_file(path)
+    assert str(info.value) == f"{path}: line 2: expected 'key = value', got 'structure main'"
 
 
 def test_config_comment_starts_at_a_line_start_or_after_whitespace(tmp_path):

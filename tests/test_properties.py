@@ -4,6 +4,8 @@ dense Kronecker oracles in ``helpers``.
 Each instance is a small kinship-linked trial (4-8 genotypes, 2-4
 environments, some cells missing) with one structure kind and parameter
 point.  Examples are derandomized so every run checks the same instances.
+Whole fits are checked for independence of the units of y and D on larger
+trials (12-24 genotypes) drawn from the fitted kind.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from gxe_reml import (
     CorrSingleVar,
     Dataset,
     EnvCorrelationMatrix,
+    EnvDistanceMatrix,
     KernelSingleVar,
     PhenotypeRecord,
     STRUCTURE_KINDS,
@@ -37,6 +40,7 @@ from helpers import (
     gaussian_reference_corr,
     make_dataset,
     random_distance,
+    random_kinship,
     structure_zoo,
 )
 
@@ -258,3 +262,61 @@ def test_near_complete_centred_kinship_matches_contrast_oracle(
     got = reml_loglik(dataset, structure, kappa, resid)
     assert abs(got - want) <= 1e-9 * abs(want), \
         f"{kind} at resid_var {resid:.3e}: loglik off by {abs(got - want) / abs(want):.2e}"
+
+
+def rescaled(dataset, c):
+    """The dataset with every phenotype multiplied by c."""
+    records = [PhenotypeRecord(r.genotype, r.environment, c * r.value) for r in dataset.records]
+    return Dataset(records, dataset.kinship, dataset.environment_labels)
+
+
+def fitted(result):
+    return np.append(result.kappa_hat, result.resid_var_hat)
+
+
+UNITS = (1e-8, 1e-4, 1e4, 1e8)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["complete", "sparse"])
+@pytest.mark.parametrize("kind", [kind for kind in STRUCTURE_KINDS if kind != "ka"])
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.integers(12, 24), st.integers(2, 4), st.integers(0, 2**20))
+def test_fit_does_not_depend_on_units(kind, sparse, n, p, seed):
+    # y -> c y scales every variance by c^2 and shifts l_R by -(N - p) log c;
+    # D -> c D divides the bandwidth by c.  Each bound sits on its
+    # coordinate's own scale, so the fit takes the same path in any units.
+    # Fits that reach a bound are left out: how they end is a separate rule.
+    rng = np.random.default_rng(seed)
+    corr = gaussian_reference_corr(p, seed)
+    dist = random_distance(p, seed + 1, mean_off=4.0)
+    labels = [f"E{j}" for j in range(p)]
+    structure = structure_for(kind, labels, corr, dist)
+    # Phenotypes drawn from the fitted kind itself, plus unit noise.
+    w, v = np.linalg.eigh(structure.sigma(draw_kappa(structure, rng)))
+    kin = random_kinship(n, seed)
+    root = v * np.sqrt(np.clip(w, 0.0, None))
+    genetic = np.linalg.cholesky(kin.values) @ rng.normal(size=(n, p)) @ root.T
+    y = (genetic + rng.normal(size=(n, p))).T.ravel()
+    keep = np.ones(n * p, dtype=bool)
+    if sparse:
+        keep = rng.random(n * p) > 0.3
+        keep.reshape(p, n)[:, :2] = True
+    missing = {(i % n, i // n) for i in np.flatnonzero(~keep)}
+    dataset = make_dataset(n, p, seed=seed, missing=missing, kinship=kin, y=y[keep])
+    base = fit(dataset, structure)
+    assume(base.termination == "tol" and not base.boundary_params)
+    bandwidth = structure.param_names()[0] == "bandwidth"
+    is_var = np.arange(structure.n_params + 1) >= bandwidth
+    cases = [(rescaled(dataset, c), structure, np.where(is_var, c * c, 1.0),
+              (dataset.n_records - p) * np.log(c), f"y * {c:g}") for c in UNITS]
+    if bandwidth:
+        for c in UNITS:
+            scaled = structure_for(kind, labels, corr, EnvDistanceMatrix(dist.values * c, labels))
+            cases.append((dataset, scaled, np.where(is_var, 1.0, 1.0 / c), 0.0, f"D * {c:g}"))
+    for data, model, factor, shift, what in cases:
+        result = fit(data, model)
+        assert (result.termination, result.iterations, result.boundary_params) == (
+            base.termination, base.iterations, base.boundary_params), f"{kind}, {what}"
+        assert abs(result.loglik + shift - base.loglik) < 1e-6, f"{kind}, {what}: loglik"
+        assert_close(fitted(result) / factor / fitted(base), 1.0, 1e-6,
+                     f"{kind}, {what}: estimates")

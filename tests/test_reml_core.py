@@ -114,6 +114,16 @@ class TestDataset:
             Dataset(records, kin, labels)
         assert str(failure.value) == message
 
+    @pytest.mark.parametrize("lookup, message", [
+        ("genotype_index", "unknown genotype 'ghost'"),
+        ("environment_index", "unknown environment 'ghost'"),
+    ], ids=["genotype", "environment"])
+    def test_index_of_unknown_label(self, lookup, message):
+        dataset = make_dataset(3, 2, seed=80)
+        with pytest.raises(UnknownLabelError) as failure:
+            getattr(dataset, lookup)("ghost")
+        assert str(failure.value) == message
+
     def test_matches_a_record_by_record_scan(self):
         records, kin, envs = self.records(5, 3)
         rng = np.random.default_rng(81)
@@ -679,7 +689,9 @@ class TestFit:
         structure = DiagonalVariance(p)
         result = fit(dataset, structure)
         params = np.concatenate([result.kappa_hat, [result.resid_var_hat]])
-        pinned = np.log(params) <= reml_core._LOG_LOWER_BOUND + 1e-9
+        y_var = float(dataset.values.var())
+        floor = np.log(np.append(structure.initial_params(y_var), 0.5 * y_var)) - 30.0
+        pinned = np.log(params) <= floor + 1e-9
         assert result.converged
         assert result.boundary_params == ["var[1]"] and pinned[1]
         grad, _ = score_and_ai(
@@ -746,6 +758,11 @@ class TestFit:
                            match=r"^max_iter must be an integer, got 1\.5$"):
             fit(dataset, DiagonalVariance(4), max_iter=1.5)
         assert fit(dataset, DiagonalVariance(4), max_iter=np.int64(1)).iterations == 1
+
+    def test_max_iter_below_one_rejected(self):
+        dataset = make_dataset(4, 2, seed=42)
+        with pytest.raises(InvalidInputError, match=r"^max_iter must be >= 1, got 0$"):
+            fit(dataset, MainEffect(2), max_iter=0)
 
     def test_non_integer_fixed_index_rejected(self):
         dataset = make_dataset(4, 2, seed=42)

@@ -72,46 +72,47 @@ class TestGaussianKernel:
 class TestEvaluateHandValues:
     def test_cor_single_var_identity(self):
         corr = EnvCorrelationMatrix(np.eye(2), ["a", "b"])
-        ev = CorrSingleVar(corr).evaluate(np.array([2.0]))
-        assert np.array_equal(ev.sigma, 2.0 * np.eye(2))
-        assert np.array_equal(ev.derivs[0], np.eye(2))
+        structure, kappa = CorrSingleVar(corr), np.array([2.0])
+        assert np.array_equal(structure.sigma(kappa), 2.0 * np.eye(2))
+        assert np.array_equal(structure.derivs(kappa)[0], np.eye(2))
 
     def test_cor_multi_var_entry(self):
         corr = EnvCorrelationMatrix(
             np.array([[1.0, 0.5], [0.5, 1.0]]), ["a", "b"]
         )
-        ev = CorrMultiVar(corr).evaluate(np.array([1.0, 4.0]))
-        assert np.allclose(ev.sigma, [[1.0, 1.0], [1.0, 4.0]]), \
+        sigma = CorrMultiVar(corr).sigma(np.array([1.0, 4.0]))
+        assert np.allclose(sigma, [[1.0, 1.0], [1.0, 4.0]]), \
             "off-diagonal must be s_1 * s_2 * C_12 = 1 * 2 * 0.5"
 
     def test_main_effect_is_scaled_ones(self):
-        ev = MainEffect(3).evaluate(np.array([1.5]))
-        assert np.array_equal(ev.sigma, 1.5 * np.ones((3, 3)))
-        assert np.array_equal(ev.derivs[0], np.ones((3, 3)))
+        structure, kappa = MainEffect(3), np.array([1.5])
+        assert np.array_equal(structure.sigma(kappa), 1.5 * np.ones((3, 3)))
+        assert np.array_equal(structure.derivs(kappa)[0], np.ones((3, 3)))
 
     def test_diagonal_basis_derivatives(self):
-        ev = DiagonalVariance(3).evaluate(np.array([1.0, 2.0, 3.0]))
-        assert np.array_equal(ev.sigma, np.diag([1.0, 2.0, 3.0]))
+        structure, kappa = DiagonalVariance(3), np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(structure.sigma(kappa), np.diag([1.0, 2.0, 3.0]))
+        derivs = structure.derivs(kappa)
         for i in range(3):
             expected = np.zeros((3, 3))
             expected[i, i] = 1.0
-            assert np.array_equal(ev.derivs[i], expected)
+            assert np.array_equal(derivs[i], expected)
 
     def test_kernel_single_var_deriv_forms(self):
         dist = random_distance(3, seed=2, mean_off=2.0)
         theta, var = 0.4, 1.7
-        ev = KernelSingleVar(dist).evaluate(np.array([theta, var]))
+        structure, kappa = KernelSingleVar(dist), np.array([theta, var])
         kern = np.exp(-theta * dist.values)
-        assert np.allclose(ev.sigma, var * kern)
-        assert np.allclose(ev.derivs[0], -var * dist.values * kern)
-        assert np.allclose(ev.derivs[1], kern)
+        assert np.allclose(structure.sigma(kappa), var * kern)
+        derivs = structure.derivs(kappa)
+        assert np.allclose(derivs[0], -var * dist.values * kern)
+        assert np.allclose(derivs[1], kern)
 
     def test_corr_multi_var_deriv_entries(self):
         corr = gaussian_reference_corr(3, seed=3)
         kappa = np.array([4.0, 1.0, 0.25])
         s = np.sqrt(kappa)
-        ev = CorrMultiVar(corr).evaluate(kappa)
-        d0 = ev.derivs[0]
+        d0 = CorrMultiVar(corr).derivs(kappa)[0]
         assert d0[0, 0] == corr.values[0, 0]
         assert np.isclose(d0[0, 1], 0.5 * s[1] / s[0] * corr.values[0, 1])
         assert d0[1, 2] == 0.0, "entries not touching parameter 0 must vanish"
@@ -124,7 +125,7 @@ class TestFiniteDifferenceOracle:
             rng = np.random.default_rng(index)
             for _ in range(20):
                 kappa = draw(rng)
-                analytic = structure.evaluate(kappa).derivs
+                analytic = structure.derivs(kappa)
                 numeric = fd_sigma_derivs(structure, kappa)
                 for i, (a, f) in enumerate(zip(analytic, numeric)):
                     scale = max(1.0, float(np.max(np.abs(a))))
@@ -156,7 +157,7 @@ class TestFiniteDifferenceOracle:
                     dn = kappa.copy()
                     up[j] += h
                     dn[j] -= h
-                    pairs = zip(structure.evaluate(up).derivs, structure.evaluate(dn).derivs)
+                    pairs = zip(structure.derivs(up), structure.derivs(dn))
                     numeric[:, j] = [np.sum((a - b) * m) / (2.0 * h) for a, b in pairs]
                 err = np.max(np.abs(analytic - numeric)) / max(1.0, np.max(np.abs(analytic)))
                 assert err < 1e-6, f"{structure.kind}: curvature FD mismatch {err:.2e}"
@@ -176,7 +177,7 @@ class TestStructureInvariants:
     def test_derivatives_symmetric(self):
         for structure, draw in structure_zoo(p=4, seed=6):
             rng = np.random.default_rng(7)
-            for mat in structure.evaluate(draw(rng)).derivs:
+            for mat in structure.derivs(draw(rng)):
                 assert np.array_equal(mat, mat.T), f"{structure.kind}: asymmetric deriv"
 
     def test_kernel_limit_bracketing(self):
@@ -214,14 +215,14 @@ class TestStructureInvariants:
         sigma = structure.sigma(zeroed)
         assert sigma[1, 1] == 0.0, "zero variance is legal for sigma()"
         with pytest.raises(InvalidInputError):
-            structure.evaluate(zeroed)
+            structure.derivs(zeroed)
         with pytest.raises(InvalidInputError):
             structure.sigma(np.array([1.0, -0.1, 2.0]))
 
     def test_layout_mismatch_rejected(self):
         structure = MainEffect(3)
         with pytest.raises(InvalidInputError):
-            structure.evaluate(np.array([1.0, 2.0]))
+            structure.derivs(np.array([1.0, 2.0]))
 
 
 class TestKernelAveraging:
@@ -269,6 +270,11 @@ class TestKernelAveraging:
         structure = KernelAveraging(dist, grid=[0.2, 0.8])
         with pytest.raises(InvalidInputError):
             average_kernel(np.zeros(2), structure)
+
+    def test_zero_weights_give_the_zero_covariance(self):
+        # A simulation truth may switch every kernel off.
+        structure = KernelAveraging(random_distance(3, seed=18), grid=[0.2, 0.8])
+        assert np.array_equal(structure.sigma(np.zeros(2)), np.zeros((3, 3)))
 
     def test_wrong_structure_kind_rejected(self):
         with pytest.raises(InvalidInputError):
