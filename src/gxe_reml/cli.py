@@ -79,6 +79,10 @@ def _floats(text: str) -> tuple[float, ...]:
         ) from None
 
 
+_lambdas = _bounded(_floats, lambda v: all(0 <= lam <= 1 for lam in v),
+                    "comma-separated numbers in [0, 1]")
+
+
 def _window(text: str) -> tuple[float, float]:
     try:
         lo, hi = (float(part) for part in text.split(":"))
@@ -98,6 +102,8 @@ def _models(text: str) -> list[str]:
     for kind in kinds:
         if kind not in STRUCTURE_KINDS:
             raise argparse.ArgumentTypeError(f"unknown structure kind {kind!r}")
+        if kinds.count(kind) > 1:
+            raise argparse.ArgumentTypeError(f"structure kind {kind!r} is repeated")
     return kinds
 
 
@@ -173,7 +179,7 @@ def _build_parser() -> _Parser:
     cv_p.add_argument("--envs-per-variety", type=_count, default=2)
     cv_p.add_argument("--replicates", type=_count, default=100)
     cv_p.add_argument("--seed", type=int, default=42)
-    cv_p.add_argument("--lambdas", type=_floats,
+    cv_p.add_argument("--lambdas", type=_lambdas,
                       help="comma-separated blend weights")
     cv_p.add_argument(
         "--jobs", type=_count, default=1,

@@ -17,11 +17,11 @@ drawn once per replicate, shared by every blended model in it.
 Models are structure kinds.  :func:`run_cv` builds each one's structure
 once, with :func:`~gxe_reml.variance_structures.build_structure` from one
 set of ``corr``, ``dist`` and ``grid`` inputs, before any replicate runs;
-a replicate builds a structure only for a blended correlation.  Held-out
-cells are read from each fit's own BLUP matrix with
-:func:`~gxe_reml.reml_core.lookup_cells`.  :func:`run_cv` returns its
-:class:`CvRow` list in replicate order; aggregating it is left to the
-caller.
+a replicate builds a structure only for a blended correlation.  A split
+is two :class:`~gxe_reml.reml_core.Dataset` parts, and held-out cells are
+read from each fit's own BLUP matrix at the held-out part's genotype and
+environment indices.  :func:`run_cv` returns its :class:`CvRow` list in
+replicate order; aggregating it is left to the caller.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .env_features import (
     random_correlation,
 )
 from .errors import GxeRemlError, InvalidInputError
-from .reml_core import Dataset, fit, lookup_cells
+from .reml_core import Dataset, fit
 from .simulator import SimConfig, simulate_met
 from .variance_structures import (
     VarianceStructure,
@@ -93,14 +93,14 @@ class CvRow:
 
 def sparse_split(
     dataset: Dataset, design: SparseDesign, replicate_index: int
-) -> tuple[Dataset, list[tuple[str, str]]]:
-    """One sparse-testing split of an observed dataset.
+) -> tuple[Dataset, Dataset]:
+    """One sparse-testing split of an observed dataset: (train, held_out).
 
     Check genotypes (chosen among those observed in every environment) keep
     all their records; every other genotype keeps records in exactly
     ``envs_per_variety`` of its observed environments, chosen uniformly.
-    Remaining observed cells become test cells.  Deterministic per
-    (design.seed, replicate_index); train records keep dataset order.
+    The remaining records are held out.  Deterministic per
+    (design.seed, replicate_index); both parts keep dataset order.
 
     Raises:
         InvalidInputError: If the design is infeasible for this dataset.
@@ -111,76 +111,60 @@ def sparse_split(
             f"invalid design: envs_per_variety ({design.envs_per_variety}) "
             f"must be < number of environments ({p})"
         )
-    by_gen: dict[int, list[int]] = {}
-    for r in range(dataset.n_records):
-        by_gen.setdefault(int(dataset.gen_index_array[r]), []).append(r)
-    complete = [g for g, recs in by_gen.items() if len(recs) == p]
+    gen = dataset.gen_index_array
+    counts = np.bincount(gen, minlength=dataset.n)
+    complete = np.flatnonzero(counts == p)
     if len(complete) < design.n_checks:
         raise InvalidInputError(
             f"invalid design: {design.n_checks} checks requested but only "
             f"{len(complete)} genotypes are observed in every environment"
         )
     rng = np.random.default_rng([design.seed, replicate_index])
-    checks = {
-        int(g)
-        for g in rng.choice(
-            np.array(sorted(complete)), size=design.n_checks, replace=False
-        )
-    }
-    keep: set[int] = set()
-    for g in sorted(by_gen):
-        recs = by_gen[g]
-        if g in checks:
-            keep.update(recs)
-            continue
+    is_check = np.zeros(dataset.n, dtype=bool)
+    is_check[rng.choice(complete, size=design.n_checks, replace=False)] = True
+    keep = is_check[gen]
+    # Each genotype's records in dataset order, genotypes ascending.
+    records_of = np.split(np.argsort(gen, kind="stable"), np.cumsum(counts)[:-1])
+    for g in np.flatnonzero((counts > 0) & ~is_check):
+        recs = records_of[g]
         if len(recs) < design.envs_per_variety:
             raise InvalidInputError(
                 f"invalid design: genotype {dataset.genotype_labels[g]!r} is "
                 f"observed in {len(recs)} environments, fewer than "
                 f"envs_per_variety ({design.envs_per_variety})"
             )
-        chosen = rng.choice(
-            np.array(recs), size=design.envs_per_variety, replace=False
-        )
-        keep.update(int(i) for i in chosen)
-    train_idx = [r for r in range(dataset.n_records) if r in keep]
-    test_cells = [
-        (rec.genotype, rec.environment)
-        for r, rec in enumerate(dataset.records)
-        if r not in keep
-    ]
-    return dataset.subset(train_idx), test_cells
+        keep[rng.choice(recs, size=design.envs_per_variety, replace=False)] = True
+    return dataset.subset(np.flatnonzero(keep)), dataset.subset(np.flatnonzero(~keep))
 
 
 def within_env_accuracy(
-    predicted: Mapping[tuple[str, str], float],
-    truth: Mapping[tuple[str, str], float],
+    predicted: np.ndarray, truth: np.ndarray, env: np.ndarray
 ) -> tuple[float, float]:
     """Within-environment Pearson and RMSE, averaged across environments.
 
-    Both mappings must cover the same cells.  Each environment's RMSE is
-    computed over its cells; its Pearson requires at least two cells and
-    nonzero variance on both sides, otherwise the environment is excluded
-    from the Pearson average with a logged count.  Environments weigh
-    equally regardless of cell counts.  With no scorable environment, the
-    Pearson mean is NaN.
+    The three arrays hold one entry per cell; ``env`` is any environment
+    key, and environments are taken in its sorted order.  Each
+    environment's RMSE is computed over its cells; its Pearson requires at
+    least two cells and nonzero variance on both sides, otherwise the
+    environment is excluded from the Pearson average with a logged count.
+    Environments weigh equally regardless of cell counts.  With no
+    scorable environment, the Pearson mean is NaN.
     """
-    if set(predicted) != set(truth):
-        raise InvalidInputError("predicted and truth must cover the same cells")
-    if not predicted:
+    predicted, truth, env = np.asarray(predicted), np.asarray(truth), np.asarray(env)
+    if not (predicted.ndim == truth.ndim == env.ndim == 1
+            and len(predicted) == len(truth) == len(env)):
+        raise InvalidInputError("predicted, truth and env must be 1-D arrays of one length")
+    if not len(predicted):
         raise InvalidInputError("no cells to score")
-    by_env: dict[str, list[tuple[str, str]]] = {}
-    for cell in predicted:
-        by_env.setdefault(cell[1], []).append(cell)
+    keys, env_of = np.unique(env, return_inverse=True)
     pearsons: list[float] = []
     rmses: list[float] = []
     excluded = 0
-    for env in sorted(by_env):
-        cells = by_env[env]
-        pv = np.array([predicted[c] for c in cells])
-        tv = np.array([truth[c] for c in cells])
+    for j in range(len(keys)):
+        cells = env_of == j
+        pv, tv = predicted[cells], truth[cells]
         rmses.append(float(np.sqrt(np.mean((pv - tv) ** 2))))
-        if len(cells) < 2:
+        if len(pv) < 2:
             excluded += 1
             continue
         pc = pv - pv.mean()
@@ -223,15 +207,11 @@ def _run_replicate(
         data, truth = out.dataset, out.true_genetic_matrix
     else:
         data, truth = dataset, None
-    train, test_cells = sparse_split(data, design, rep)
-    if truth is not None:
-        target = {
-            (g, e): float(truth[data.genotype_index(g), data.environment_index(e)])
-            for g, e in test_cells
-        }
-    else:
-        observed = {(rec.genotype, rec.environment): rec.value for rec in data.records}
-        target = {cell: observed[cell] for cell in test_cells}
+    train, held_out = sparse_split(data, design, rep)
+    gen, env = held_out.gen_index_array, held_out.env_index_array
+    target = held_out.values if truth is None else truth[gen, env]
+    # Keyed by label, not index, so environments average in sorted label order.
+    env_key = np.asarray(data.environment_labels)[env]
 
     # Only models built from a correlation matrix are blended toward noise.
     blended = {kind for kind, s in structures.items() if s.needs == "corr"}
@@ -266,11 +246,10 @@ def _run_replicate(
                 )
             # Simulations score BLUPs against the truth, real data the
             # fitted values against the held-out records.
-            predicted = {
-                (c.genotype, c.environment): c.blup if truth is not None else c.fitted
-                for c in lookup_cells(result, test_cells)
-            }
-            mean_pearson, mean_rmse = within_env_accuracy(predicted, target)
+            predicted = result.blup_matrix[gen, env]
+            if truth is None:
+                predicted = predicted + result.environment_means()[env]
+            mean_pearson, mean_rmse = within_env_accuracy(predicted, target, env_key)
             rows.append(CvRow(kind, rep, lam, mean_pearson, mean_rmse,
                               elapsed, result.converged))
     return rows
@@ -320,6 +299,8 @@ def run_cv(
         raise InvalidInputError("at least one model is required")
     if len(set(models)) != len(models):
         raise InvalidInputError("model kinds must be unique")
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     needs = {structure_class(kind).needs for kind in models}
     lam_tuple = (0.0,) if lambdas is None else tuple(float(l) for l in lambdas)
     for lam in lam_tuple:

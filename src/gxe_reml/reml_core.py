@@ -152,7 +152,9 @@ class Dataset:
     Genotype labels come from the relationship matrix (which may cover
     genotypes without records); environment labels are supplied explicitly
     so their order is stable.  Every record's labels must resolve and each
-    (genotype, environment) cell may appear at most once.
+    (genotype, environment) cell may appear at most once.  Record r is held
+    as indices ``gen_index_array[r]`` and ``env_index_array[r]`` into the
+    label lists, with its value in ``values[r]``.
     """
 
     def __init__(
@@ -170,10 +172,9 @@ class Dataset:
         self.kinship = kinship
         self.environment_labels = environment_labels
         self.genotype_labels: list[str] = list(kinship.labels)
-        self._gen_map = {g: i for i, g in enumerate(self.genotype_labels)}
-        self._env_map = {e: j for j, e in enumerate(environment_labels)}
+        gen_map = {g: i for i, g in enumerate(self.genotype_labels)}
+        env_map = {e: j for j, e in enumerate(environment_labels)}
         recs, n_rec = self.records, len(self.records)
-        gen_map, env_map = self._gen_map, self._env_map
         gen_idx = np.fromiter((gen_map.get(r.genotype, -1) for r in recs), np.intp, n_rec)
         env_idx = np.fromiter((env_map.get(r.environment, -1) for r in recs), np.intp, n_rec)
         values = np.fromiter((r.value for r in recs), float, n_rec)
@@ -224,18 +225,6 @@ class Dataset:
     @property
     def n_records(self) -> int:
         return len(self.records)
-
-    def genotype_index(self, label: str) -> int:
-        try:
-            return self._gen_map[label]
-        except KeyError:
-            raise UnknownLabelError(f"unknown genotype {label!r}") from None
-
-    def environment_index(self, label: str) -> int:
-        try:
-            return self._env_map[label]
-        except KeyError:
-            raise UnknownLabelError(f"unknown environment {label!r}") from None
 
     def subset(self, record_indices: Sequence[int]) -> "Dataset":
         """New dataset with a subset of records, sharing kinship and labels."""

@@ -8,8 +8,10 @@ they are checking.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -19,12 +21,16 @@ from gxe_reml import (
     Dataset,
     EnvDistanceMatrix,
     EnvFeatureMatrix,
+    InvalidInputError,
     PhenotypeRecord,
     RelationshipMatrix,
+    SparseDesign,
     UnknownLabelError,
     build_structure,
     env_distance,
 )
+
+logger = logging.getLogger(__name__)
 
 
 def standardized_features(q: int, p: int, seed: int) -> EnvFeatureMatrix:
@@ -367,3 +373,102 @@ def cv_summary(rows: list[CvRow]) -> list[CvSummary]:
             )
         )
     return out
+
+
+def label_sparse_split(
+    dataset: Dataset, design: SparseDesign, replicate_index: int
+) -> tuple[Dataset, list[tuple[str, str]]]:
+    """Label-keyed reference for ``cv.sparse_split``: the train dataset and
+    the held-out (genotype, environment) cells, built from dicts and sets
+    keyed by record index.  It makes the same RNG calls in the same order.
+    """
+    p = dataset.p
+    if design.envs_per_variety >= p:
+        raise InvalidInputError(
+            f"invalid design: envs_per_variety ({design.envs_per_variety}) "
+            f"must be < number of environments ({p})"
+        )
+    by_gen: dict[int, list[int]] = {}
+    for r in range(dataset.n_records):
+        by_gen.setdefault(int(dataset.gen_index_array[r]), []).append(r)
+    complete = [g for g, recs in by_gen.items() if len(recs) == p]
+    if len(complete) < design.n_checks:
+        raise InvalidInputError(
+            f"invalid design: {design.n_checks} checks requested but only "
+            f"{len(complete)} genotypes are observed in every environment"
+        )
+    rng = np.random.default_rng([design.seed, replicate_index])
+    checks = {
+        int(g)
+        for g in rng.choice(
+            np.array(sorted(complete)), size=design.n_checks, replace=False
+        )
+    }
+    keep: set[int] = set()
+    for g in sorted(by_gen):
+        recs = by_gen[g]
+        if g in checks:
+            keep.update(recs)
+            continue
+        if len(recs) < design.envs_per_variety:
+            raise InvalidInputError(
+                f"invalid design: genotype {dataset.genotype_labels[g]!r} is "
+                f"observed in {len(recs)} environments, fewer than "
+                f"envs_per_variety ({design.envs_per_variety})"
+            )
+        chosen = rng.choice(
+            np.array(recs), size=design.envs_per_variety, replace=False
+        )
+        keep.update(int(i) for i in chosen)
+    train_idx = [r for r in range(dataset.n_records) if r in keep]
+    test_cells = [
+        (rec.genotype, rec.environment)
+        for r, rec in enumerate(dataset.records)
+        if r not in keep
+    ]
+    return dataset.subset(train_idx), test_cells
+
+
+def label_within_env_accuracy(
+    predicted: Mapping[tuple[str, str], float],
+    truth: Mapping[tuple[str, str], float],
+) -> tuple[float, float]:
+    """Label-keyed reference for ``cv.within_env_accuracy``: cells are
+    (genotype, environment) keys of two mappings, grouped by environment
+    label in a dict and scored in sorted label order.
+    """
+    if set(predicted) != set(truth):
+        raise InvalidInputError("predicted and truth must cover the same cells")
+    if not predicted:
+        raise InvalidInputError("no cells to score")
+    by_env: dict[str, list[tuple[str, str]]] = {}
+    for cell in predicted:
+        by_env.setdefault(cell[1], []).append(cell)
+    pearsons: list[float] = []
+    rmses: list[float] = []
+    excluded = 0
+    for env in sorted(by_env):
+        cells = by_env[env]
+        pv = np.array([predicted[c] for c in cells])
+        tv = np.array([truth[c] for c in cells])
+        rmses.append(float(np.sqrt(np.mean((pv - tv) ** 2))))
+        if len(cells) < 2:
+            excluded += 1
+            continue
+        pc = pv - pv.mean()
+        tc = tv - tv.mean()
+        sx = float(pc @ pc)
+        sy = float(tc @ tc)
+        if sx == 0.0 or sy == 0.0:
+            excluded += 1
+            continue
+        r = float(pc @ tc) / math.sqrt(sx * sy)
+        pearsons.append(min(1.0, max(-1.0, r)))
+    if excluded:
+        logger.info(
+            "%d environment(s) excluded from the Pearson average "
+            "(too few cells or zero variance)", excluded,
+        )
+    mean_pearson = float(np.mean(pearsons)) if pearsons else math.nan
+    mean_rmse = float(np.mean(rmses))
+    return mean_pearson, mean_rmse

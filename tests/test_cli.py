@@ -177,6 +177,21 @@ class TestUsageErrors:
             capsys, "unknown structure kind",
         )
 
+    # The sim config 't' does not exist: each flag fails before it is read.
+    @pytest.mark.parametrize("flags, needle", [
+        (["--models", "main,main"], "--models: structure kind 'main' is repeated"),
+        (["--models", "main", "--lambdas", "2"],
+         "--lambdas: must be comma-separated numbers in [0, 1]"),
+        (["--models", "cor1", "--lambdas", "0,-0.5"],
+         "--lambdas: must be comma-separated numbers in [0, 1]"),
+        (["--models", "cor1", "--lambdas", "nan"],
+         "--lambdas: must be comma-separated numbers in [0, 1]"),
+    ], ids=["repeated-model", "lambda-above-1", "negative-lambda", "nan-lambda"])
+    def test_cv_flag_values(self, capsys, flags, needle):
+        self.run_expecting_usage(
+            ["cv", "--sim-config", "t", "--out", "o", *flags], capsys, needle,
+        )
+
     def test_env_process_window(self, capsys):
         base = ["env-process", "--weather", "w", "--variables", "rain",
                 "--out-corr", "c", "--out-dist", "d"]

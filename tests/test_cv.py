@@ -53,19 +53,33 @@ def tiny_sim_config(seed=0, n=20, p=3):
     )
 
 
+def cells_of(dataset):
+    return [(r.genotype, r.environment) for r in dataset.records]
+
+
+def score(predicted, truth):
+    """within_env_accuracy on cells keyed (genotype, environment), as the
+    three arrays it takes."""
+    cells = list(truth)
+    return within_env_accuracy(
+        [predicted[c] for c in cells], [truth[c] for c in cells],
+        [env for _, env in cells],
+    )
+
+
 class TestSparseSplit:
     def test_train_cardinality_small_design(self):
         # 5 checks in all 4 environments plus 272 varieties in 2 each.
         dataset = make_dataset(277, 4, seed=1)
-        train, test_cells = sparse_split(dataset, design(5, 2, seed=3), 0)
+        train, held_out = sparse_split(dataset, design(5, 2, seed=3), 0)
         assert train.n_records == 5 * 4 + 272 * 2 == 564
-        assert len(test_cells) == 277 * 4 - 564
+        assert held_out.n_records == 277 * 4 - 564
 
     def test_train_cardinality_large_design(self):
         dataset = make_dataset(246, 15, seed=2)
-        train, test_cells = sparse_split(dataset, design(6, 3, seed=4), 0)
+        train, held_out = sparse_split(dataset, design(6, 3, seed=4), 0)
         assert train.n_records == 6 * 15 + 240 * 3 == 810
-        assert len(test_cells) == 246 * 15 - 810
+        assert held_out.n_records == 246 * 15 - 810
 
     def test_checks_complete_and_varieties_thin(self):
         dataset = make_dataset(40, 5, seed=5)
@@ -78,7 +92,8 @@ class TestSparseSplit:
 
     def test_partition_is_exact(self):
         dataset = make_dataset(12, 4, seed=7)
-        train, test_cells = sparse_split(dataset, design(2, 2, seed=8), 0)
+        train, held_out = sparse_split(dataset, design(2, 2, seed=8), 0)
+        test_cells = cells_of(held_out)
         train_cells = {(r.genotype, r.environment) for r in train.records}
         all_cells = {(r.genotype, r.environment) for r in dataset.records}
         assert train_cells.isdisjoint(test_cells)
@@ -98,14 +113,15 @@ class TestSparseSplit:
         a_train, a_test = sparse_split(dataset, design(3, 2, seed=12), 5)
         b_train, b_test = sparse_split(dataset, design(3, 2, seed=12), 5)
         c_train, c_test = sparse_split(dataset, design(3, 2, seed=12), 6)
-        assert a_test == b_test
+        assert a_test.records == b_test.records
         assert np.array_equal(a_train.values, b_train.values)
-        assert a_test != c_test, "replicates must draw distinct splits"
+        assert a_test.records != c_test.records, "replicates must draw distinct splits"
 
     def test_missing_cells_never_enter_test(self):
         missing = {(4, 0), (4, 3), (7, 1)}
         dataset = make_dataset(10, 4, seed=13, missing=missing)
-        train, test_cells = sparse_split(dataset, design(2, 2, seed=14), 0)
+        train, held_out = sparse_split(dataset, design(2, 2, seed=14), 0)
+        test_cells = cells_of(held_out)
         observed = {(r.genotype, r.environment) for r in dataset.records}
         assert set(test_cells) <= observed
         counts = Counter(rec.genotype for rec in train.records)
@@ -143,14 +159,14 @@ class TestSparseSplit:
 class TestWithinEnvAccuracy:
     def test_perfect_prediction(self):
         cells = {("g1", "A"): 1.0, ("g2", "A"): 2.0, ("g3", "A"): 4.0}
-        pearson, rmse = within_env_accuracy(cells, dict(cells))
+        pearson, rmse = score(cells, dict(cells))
         assert pearson == pytest.approx(1.0, abs=1e-12)
         assert rmse == 0.0
 
     def test_anti_prediction(self):
         truth = {("g1", "A"): 1.0, ("g2", "A"): 2.0, ("g3", "A"): 4.0}
         predicted = {cell: -v for cell, v in truth.items()}
-        pearson, _ = within_env_accuracy(predicted, truth)
+        pearson, _ = score(predicted, truth)
         assert pearson == pytest.approx(-1.0, abs=1e-12)
 
     def test_hand_worked_two_environments(self):
@@ -164,7 +180,7 @@ class TestWithinEnvAccuracy:
             ("g1", "A"): 2.0, ("g2", "A"): 1.0, ("g3", "A"): 3.0,
             ("g1", "B"): 1.0, ("g2", "B"): 3.0,
         }
-        pearson, rmse = within_env_accuracy(predicted, truth)
+        pearson, rmse = score(predicted, truth)
         assert pearson == pytest.approx((math.sqrt(3 / 7) + 1.0) / 2.0, abs=1e-12)
         assert rmse == pytest.approx((1.0 + math.sqrt(2.5)) / 2.0, abs=1e-12)
 
@@ -178,7 +194,7 @@ class TestWithinEnvAccuracy:
             ("g1", "B"): 1.0, ("g2", "B"): 3.0,
         }
         with caplog.at_level("INFO", logger="gxe_reml.cv"):
-            pearson, rmse = within_env_accuracy(predicted, truth)
+            pearson, rmse = score(predicted, truth)
         assert pearson == pytest.approx(1.0, abs=1e-12), \
             "the constant-prediction environment must not drag the average"
         rmse_b = math.sqrt((16.0 + 4.0) / 2.0)
@@ -195,22 +211,36 @@ class TestWithinEnvAccuracy:
             ("g1", "A"): 1.0, ("g2", "A"): 2.0, ("g3", "A"): 4.0,
             ("g1", "B"): 2.0,
         }
-        pearson, rmse = within_env_accuracy(predicted, truth)
+        pearson, rmse = score(predicted, truth)
         assert pearson == pytest.approx(1.0, abs=1e-12)
         assert rmse == pytest.approx((0.0 + 2.0) / 2.0, abs=1e-12)
 
     def test_no_scorable_environment_gives_nan(self):
         predicted = {("g1", "A"): 0.0}
         truth = {("g1", "A"): 3.0}
-        pearson, rmse = within_env_accuracy(predicted, truth)
+        pearson, rmse = score(predicted, truth)
         assert math.isnan(pearson)
         assert rmse == pytest.approx(3.0)
 
     def test_cell_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            within_env_accuracy({("g1", "A"): 1.0}, {("g2", "A"): 1.0})
-        with pytest.raises(InvalidInputError):
-            within_env_accuracy({}, {})
+        for predicted, truth, env in (
+            ([1.0], [1.0], ["A", "A"]),
+            ([1.0, 2.0], [1.0], ["A", "A"]),
+            ([[1.0]], [[1.0]], [["A"]]),
+        ):
+            with pytest.raises(InvalidInputError, match="1-D arrays of one length"):
+                within_env_accuracy(predicted, truth, env)
+        with pytest.raises(InvalidInputError, match="no cells to score"):
+            within_env_accuracy([], [], [])
+
+    def test_environments_averaged_in_sorted_key_order(self):
+        # Any key will do: integer indices and labels that sort alike give
+        # the same average, bit for bit.
+        rng = np.random.default_rng(0)
+        predicted, truth = rng.normal(size=(2, 30))
+        env = rng.integers(0, 3, size=30)
+        by_label = within_env_accuracy(predicted, truth, np.array(["a", "b", "c"])[env])
+        assert within_env_accuracy(predicted, truth, env) == by_label
 
 
 def strip(report):
@@ -480,6 +510,8 @@ class TestRunCv:
             run_cv([], d, sim_config=config)
         with pytest.raises(InvalidInputError, match="unique"):
             run_cv(["main", "main"], d, sim_config=config)
+        with pytest.raises(InvalidInputError, match="jobs must be >= 1, got 0"):
+            run_cv(["main"], d, sim_config=config, jobs=0)
         with pytest.raises(InvalidInputError, match="lambda"):
             run_cv(["cor1"], d, sim_config=config, lambdas=[1.5])
         with pytest.raises(InvalidInputError, match="corr"):

@@ -26,6 +26,7 @@ from gxe_reml import (
     RelationshipMatrix,
     ZeroVarianceError,
     blend_correlation,
+    correlation_from_covariance,
     env_correlation,
     env_distance,
     gdd_accumulate,
@@ -145,6 +146,35 @@ class TestStandardizeRows:
         assert np.allclose(feats.values.std(axis=1), 1.0, atol=1e-12), \
             "population (divide by p) scaling expected"
         feats.check_standardized()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: EnvFeatureMatrix(np.zeros(3), ["v0"], ["a"]),
+     "feature matrix must be two-dimensional"),
+    (lambda: EnvFeatureMatrix(np.zeros((2, 3)), ["v0"], ["a", "b", "c"]),
+     "feature matrix is 2x3 but has 1 row labels and 3 column labels"),
+    (lambda: EnvFeatureMatrix([[0.0, np.nan]], ["v0"], ["a", "b"]),
+     "feature matrix contains non-finite entries"),
+    (lambda: piecewise_intercepts([(5.0, np.nan)], 10.0, (0.0, 10.0)),
+     "points must be finite"),
+    (lambda: piecewise_intercepts([(1.0, 1.0)], 3.0, (0.0, 10.0)),
+     "window width 10.0 is not a whole number of intervals 3.0"),
+    (lambda: standardize_rows(np.zeros(3)),
+     "feature matrix must be two-dimensional"),
+    (lambda: standardize_rows(np.zeros((2, 1))),
+     "at least two environments are required, got 1"),
+    (lambda: standardize_rows([[0.0, np.inf]]),
+     "feature matrix contains non-finite entries"),
+    (lambda: correlation_from_covariance(np.diag([1.0, 0.0])),
+     "covariance has a non-positive diagonal entry"),
+], ids=["features-ndim", "features-labels", "features-non-finite",
+        "points-non-finite", "window-not-whole-intervals", "standardize-ndim",
+        "standardize-one-environment", "standardize-non-finite",
+        "covariance-diagonal"])
+def test_input_checks_name_their_fault(call, message):
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestEnvCorrelation:

@@ -5,7 +5,9 @@ Each instance is a small kinship-linked trial (4-8 genotypes, 2-4
 environments, some cells missing) with one structure kind and parameter
 point.  Examples are derandomized so every run checks the same instances.
 Whole fits are checked for independence of the units of y and D on larger
-trials (12-24 genotypes) drawn from the fitted kind.
+trials (12-24 genotypes) drawn from the fitted kind.  Sparse-testing splits
+and their scoring are checked against the label-keyed references in
+``helpers`` on trials of 4-30 genotypes in 2-6 environments.
 """
 
 import numpy as np
@@ -18,14 +20,18 @@ from gxe_reml import (
     Dataset,
     EnvCorrelationMatrix,
     EnvDistanceMatrix,
+    InvalidInputError,
     KernelSingleVar,
     PhenotypeRecord,
     STRUCTURE_KINDS,
+    SparseDesign,
     build_structure,
     fit,
     gaussian_kernel,
     reml_loglik,
     score_and_ai,
+    sparse_split,
+    within_env_accuracy,
 )
 from gxe_reml import reml_core
 
@@ -38,6 +44,8 @@ from helpers import (
     dense_reml,
     dense_score_and_ai,
     gaussian_reference_corr,
+    label_sparse_split,
+    label_within_env_accuracy,
     make_dataset,
     random_distance,
     random_kinship,
@@ -320,3 +328,85 @@ def test_fit_does_not_depend_on_units(kind, sparse, n, p, seed):
         assert abs(result.loglik + shift - base.loglik) < 1e-6, f"{kind}, {what}: loglik"
         assert_close(fitted(result) / factor / fitted(base), 1.0, 1e-6,
                      f"{kind}, {what}: estimates")
+
+
+@st.composite
+def split_cases(draw):
+    """(dataset, design, replicate) on a trial with random missing cells.
+
+    Environment labels run backwards, so their sorted order is not their
+    index order; designs may be infeasible.
+    """
+    n = draw(st.integers(4, 30))
+    p = draw(st.integers(2, 6))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, p - 1))
+    missing = draw(st.sets(cells, max_size=n * p // 2))
+    labels = [f"E{j}" for j in reversed(range(p))]
+    dataset = make_dataset(n, p, seed=draw(st.integers(0, 2**20)),
+                           missing=missing, env_labels=labels)
+    design = SparseDesign(
+        n_checks=draw(st.integers(1, 4)),
+        envs_per_variety=draw(st.integers(1, p)),
+        replicates=1,
+        seed=draw(st.integers(0, 2**20)),
+    )
+    return dataset, design, draw(st.integers(0, 100))
+
+
+SPLIT_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                          database=None)
+
+
+@SPLIT_SETTINGS
+@given(split_cases())
+def test_sparse_split_matches_label_reference(case):
+    dataset, design, rep = case
+    try:
+        want_train, want_cells = label_sparse_split(dataset, design, rep)
+    except InvalidInputError as exc:
+        with pytest.raises(InvalidInputError) as failure:
+            sparse_split(dataset, design, rep)
+        assert str(failure.value) == str(exc)
+        return
+    train, held_out = sparse_split(dataset, design, rep)
+    assert [(r.genotype, r.environment) for r in held_out.records] == want_cells
+    assert len(train.records) == len(want_train.records)
+    assert all(a is b for a, b in zip(train.records, want_train.records))
+
+
+@SPLIT_SETTINGS
+@given(split_cases(), st.data())
+def test_within_env_accuracy_matches_label_reference(case, data):
+    # Random values on every cell, some environments constant on one side,
+    # scored on a random subset of the held-out cells (often one cell in an
+    # environment): the arrays of the held-out Dataset against the cells of
+    # the label-keyed split.
+    dataset, design, rep = case
+    try:
+        _, want_cells = label_sparse_split(dataset, design, rep)
+    except InvalidInputError:
+        assume(False)
+    _, held_out = sparse_split(dataset, design, rep)
+    n, p = dataset.n, dataset.p
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**20)))
+    predicted, truth = rng.normal(size=(2, n, p))
+    per_env = st.lists(st.booleans(), min_size=p, max_size=p)
+    predicted[:, data.draw(per_env)] = 1.5
+    truth[:, data.draw(per_env)] = -0.5
+    scored = np.array(data.draw(st.lists(
+        st.booleans(), min_size=len(want_cells), max_size=len(want_cells))), dtype=bool)
+    gen_of = {g: i for i, g in enumerate(dataset.genotype_labels)}
+    env_of = {e: j for j, e in enumerate(dataset.environment_labels)}
+    kept = [(g, e) for (g, e), s in zip(want_cells, scored) if s]
+    ref_pred = {(g, e): float(predicted[gen_of[g], env_of[e]]) for g, e in kept}
+    ref_truth = {(g, e): float(truth[gen_of[g], env_of[e]]) for g, e in kept}
+    gen, env = held_out.gen_index_array[scored], held_out.env_index_array[scored]
+    args = (predicted[gen, env], truth[gen, env],
+            np.asarray(dataset.environment_labels)[env])
+    if not kept:
+        with pytest.raises(InvalidInputError, match="no cells to score"):
+            within_env_accuracy(*args)
+        return
+    got = within_env_accuracy(*args)
+    want = label_within_env_accuracy(ref_pred, ref_truth)
+    assert [float.hex(x) for x in got] == [float.hex(x) for x in want]

@@ -114,16 +114,6 @@ class TestDataset:
             Dataset(records, kin, labels)
         assert str(failure.value) == message
 
-    @pytest.mark.parametrize("lookup, message", [
-        ("genotype_index", "unknown genotype 'ghost'"),
-        ("environment_index", "unknown environment 'ghost'"),
-    ], ids=["genotype", "environment"])
-    def test_index_of_unknown_label(self, lookup, message):
-        dataset = make_dataset(3, 2, seed=80)
-        with pytest.raises(UnknownLabelError) as failure:
-            getattr(dataset, lookup)("ghost")
-        assert str(failure.value) == message
-
     def test_matches_a_record_by_record_scan(self):
         records, kin, envs = self.records(5, 3)
         rng = np.random.default_rng(81)
@@ -979,9 +969,7 @@ class TestPredictCells:
         targets = [(r.genotype, r.environment) for r in dataset.records]
         preds = lookup_cells(result, targets)
         dense_u = self.oracle_blups(result, dataset)
-        for pred, rec in zip(preds, dataset.records):
-            gi = dataset.genotype_index(rec.genotype)
-            ei = dataset.environment_index(rec.environment)
+        for pred, gi, ei in zip(preds, dataset.gen_index_array, dataset.env_index_array):
             assert np.isclose(pred.blup, dense_u[ei * dataset.n + gi], atol=1e-10)
 
         # On the training records of a sparse fit, the lookup into the fit's
@@ -995,7 +983,7 @@ class TestPredictCells:
         assert [(c.genotype, c.environment) for c in looked_up] == cells
         for idx, got in enumerate(looked_up):
             want = conditioned[idx]
-            ei = train.environment_index(got.environment)
+            ei = train.environment_labels.index(got.environment)
             assert abs(got.blup - want) < 1e-10
             assert abs(got.fitted - (means[ei] + want)) < 1e-10
 

@@ -36,6 +36,18 @@ def base_config(structure, params, resid_var, n=8, seed=0, **kwargs):
     )
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: base_config(MainEffect(2), [1.0], 0.5, n=4, kinship=random_kinship(3, 0)),
+     "kinship is 3 x 3 but n_genotypes is 4"),
+    (lambda: kinship_from_markers(np.zeros(5)),
+     "marker matrix must be two-dimensional"),
+], ids=["kinship-size", "markers-ndim"])
+def test_input_checks_name_their_fault(call, message):
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestSimulateMarkers:
     def test_deterministic(self):
         assert np.array_equal(simulate_markers(20, 50, 7), simulate_markers(20, 50, 7))

@@ -346,3 +346,14 @@ class TestBuildStructure:
         assert any("clipped" in rec.message for rec in caplog.records)
         eigs = np.linalg.eigvalsh(structure.sigma(np.array([1.0])))
         assert eigs[0] >= -1e-15
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mean_offdiag(np.zeros((1, 1))), "at least two environments are required"),
+    (lambda: MainEffect(0), "need at least one environment, got 0"),
+    (lambda: MainEffect(2).sigma([np.nan]), "main parameters must be finite"),
+], ids=["mean-offdiag-one-environment", "no-environment", "non-finite-kappa"])
+def test_input_checks_name_their_fault(call, message):
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert str(info.value) == message
