@@ -79,8 +79,23 @@ def _floats(text: str) -> tuple[float, ...]:
         ) from None
 
 
-_lambdas = _bounded(_floats, lambda v: all(0 <= lam <= 1 for lam in v),
-                    "comma-separated numbers in [0, 1]")
+def _distinct(items: Sequence, what: str) -> Sequence:
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise argparse.ArgumentTypeError(f"{what} {item!r} is repeated")
+    return items
+
+
+_unit_floats = _bounded(_floats, lambda v: all(0 <= lam <= 1 for lam in v),
+                        "comma-separated numbers in [0, 1]")
+
+
+def _lambdas(text: str) -> tuple[float, ...]:
+    return _distinct(_unit_floats(text), "lambda")
+
+
+def _variables(text: str) -> list[str]:
+    return _distinct([v.strip() for v in text.split(",") if v.strip()], "variable")
 
 
 def _window(text: str) -> tuple[float, float]:
@@ -102,9 +117,7 @@ def _models(text: str) -> list[str]:
     for kind in kinds:
         if kind not in STRUCTURE_KINDS:
             raise argparse.ArgumentTypeError(f"unknown structure kind {kind!r}")
-        if kinds.count(kind) > 1:
-            raise argparse.ArgumentTypeError(f"structure kind {kind!r} is repeated")
-    return kinds
+    return _distinct(kinds, "structure kind")
 
 
 def _build_parser() -> _Parser:
@@ -131,7 +144,8 @@ def _build_parser() -> _Parser:
         help="weather CSV to feature, correlation, and distance matrices",
     )
     env.add_argument("--weather", help="daily weather CSV")
-    env.add_argument("--variables", help="comma-separated variable names")
+    env.add_argument("--variables", type=_variables,
+                     help="comma-separated variable names")
     env.add_argument("--interval", type=_positive, default=100.0,
                      help="heat-unit bin width (default 100)")
     env.add_argument("--window", type=_window, help="heat-unit window 'lo:hi'")
@@ -338,9 +352,8 @@ def _read_sim_config(path) -> SimConfig:
 
 def _cmd_env_process(args: argparse.Namespace) -> None:
     records = gio.read_weather_csv(args.weather)
-    variables = [v.strip() for v in args.variables.split(",") if v.strip()]
     features, corr, dist = process_weather(
-        records, variables, args.interval, args.window
+        records, args.variables, args.interval, args.window
     )
     gio.write_matrix_csv(args.out_corr, corr.values, corr.labels, corr.labels)
     gio.write_matrix_csv(args.out_dist, dist.values, dist.labels, dist.labels)

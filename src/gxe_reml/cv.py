@@ -290,6 +290,7 @@ def run_cv(
         design: Sparse-testing design, including replicate count and seed.
         grid: Bandwidth grid for kernel averaging (``ka``); other kinds
             ignore it.
+        lambdas: Distinct blend weights in [0, 1]; default 0 alone.
         jobs: Worker processes; replicate results merge deterministically
             by replicate index regardless.
     """
@@ -306,6 +307,8 @@ def run_cv(
     for lam in lam_tuple:
         if not np.isfinite(lam) or lam < 0.0 or lam > 1.0:
             raise InvalidInputError(f"lambda must lie in [0, 1], got {lam}")
+    if len(set(lam_tuple)) != len(lam_tuple):
+        raise InvalidInputError("lambdas must be unique")
     if sim_config is not None:
         env_labels = sim_config.environment_labels
         if corr is None and "corr" in needs:

@@ -401,15 +401,10 @@ def blend_correlation(
         raise InvalidInputError(f"lambda must lie in [0, 1], got {lam}")
     if corr.labels != noise.labels:
         raise InvalidInputError("blended matrices must share environment labels")
-    out = (1.0 - lam) * corr.values + lam * noise.values
-    # Where both inputs carry an exact unit diagonal, keep it exact.
-    diag_a = np.diag(corr.values)
-    diag_b = np.diag(noise.values)
-    unit = (diag_a == 1.0) & (diag_b == 1.0)
-    d = np.diag(out).copy()
-    d[unit] = 1.0
-    np.fill_diagonal(out, d)
-    return EnvCorrelationMatrix(out, corr.labels)
+    # In double precision (1 - lam) + lam rounds to exactly 1 for every lam
+    # in [0, 1], so unit diagonals on both inputs stay exact.
+    lam = float(lam)
+    return EnvCorrelationMatrix((1.0 - lam) * corr.values + lam * noise.values, corr.labels)
 
 
 def correlation_from_covariance(
@@ -451,11 +446,12 @@ def weather_to_features(
 ) -> tuple[np.ndarray, list[str], list[str]]:
     """Raw per-environment piecewise summaries of daily weather, in one pass.
 
-    Every record is checked before any binning: days increase within an
-    environment, ``t_min <= t_max``, and both temperatures and each requested
-    variable (``t_min``, ``t_max`` or a covariate) are present and finite; a
-    failure is a ``DataError`` naming the environment, the day and any
-    variable.  Each environment's heat units (:func:`gdd_accumulate`) are
+    ``variables`` must be distinct (``InvalidInputError``).  Every record
+    is checked before any binning: days increase within an environment,
+    ``t_min <= t_max``, and both temperatures and each requested variable
+    (``t_min``, ``t_max`` or a covariate) are present and finite; a failure
+    is a ``DataError`` naming the environment, the day and any variable.
+    Each environment's heat units (:func:`gdd_accumulate`) are
     then binned once, as in :func:`piecewise_intercepts`, and every variable
     averaged over the bins; an empty bin is an ``EmptyBinError`` naming the
     environment and the bin.
@@ -469,6 +465,9 @@ def weather_to_features(
         raise DataError("no weather records supplied")
     if not variables:
         raise InvalidInputError("at least one variable is required")
+    for i, var in enumerate(variables):
+        if var in variables[:i]:
+            raise InvalidInputError(f"variable {var!r} is repeated")
     grouped: dict[str, list[DailyWeatherRecord]] = {}
     tables: dict[str, list[list[float]]] = {}
     for rec in records:

@@ -42,7 +42,7 @@ Meyer & Smith 1996), is zero for parameters that enter Sigma linearly.
 
 The step matrix H, on the log scale and the coordinates that move, is the
 first positive definite one giving a finite step among AI + C, AI and AI
-plus a growing ridge (else the gradient is followed), so every step
+plus one ridge (else the gradient is followed), so every step
 ascends; it is clipped to +-5 and halved until l_R does not decrease.  A
 fit converges when the last accepted gain and the Newton decrement
 g^T H^-1 g (g the log-scale score, before clipping) are both below
@@ -80,7 +80,6 @@ holds the result and :func:`lookup_cells` reads cells from it.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -628,12 +627,10 @@ def score_and_ai(
 
 def _newton_step(ai: np.ndarray, corr: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve M @ step = grad with the first positive definite M, among AI + C,
-    AI and AI + r I (r = 1e-8 mean|diag AI| growing x100 over 7 tries), whose
-    step is finite: an ascent step.  Failing all, grad scaled to max 1.
-    Each M is built only when the one before it fails."""
+    AI and AI + r I (r = 1e-8 mean|diag AI|), whose step is finite: an
+    ascent step.  Failing all, grad scaled to max 1."""
     ridge = 1e-8 * max(float(np.mean(np.abs(np.diag(ai)))), 1e-300)
-    ridged = (ai + ridge * 100.0**i * np.eye(len(grad)) for i in range(7))
-    for m in itertools.chain([ai + corr, ai], ridged):
+    for m in (ai + corr, ai, ai + ridge * np.eye(len(grad))):
         try:
             chol = np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
@@ -667,8 +664,8 @@ def fit(
     restricted log-likelihood does not decrease.  Each step solves with the
     first positive definite M on the moving coordinates, among
     (AI + C) o kappa kappa^T (AI plus the curvature of the nonlinear
-    parameters), AI o kappa kappa^T and that AI ridged, else follows the
-    gradient.  Convergence is declared when the last accepted gain and the
+    parameters), AI o kappa kappa^T and that AI plus one ridge, else follows
+    the gradient.  Convergence is declared when the last accepted gain and the
     Newton decrement g^T M^-1 g of the unclipped step both fall below
     ``tol`` (``termination="tol"``).  A step whose every halving fails
     (``"stalled"``), and exceeding ``max_iter`` (``"max_iter"``), end the
@@ -739,8 +736,6 @@ def fit(
     trace = [cur.loglik]
     boundary: list[str] = []
     termination = "max_iter"
-    iterations = 0
-    gain = np.inf
 
     while True:
         g_eta = grad * params
@@ -759,10 +754,10 @@ def fit(
             if float(g_mov @ clipped) <= 0.0:
                 clipped = full * (5.0 / np.max(np.abs(full)))
             step[moving] = clipped
-        if gain < tol and decrement < tol:
+        if len(trace) > 1 and trace[-1] - trace[-2] < tol and decrement < tol:
             termination = "tol"
             break
-        if iterations == max_iter:
+        if len(trace) > max_iter:
             break
         accepted = None
         for half in range(_MAX_HALVINGS + 1):
@@ -790,9 +785,7 @@ def fit(
                 boundary.append(name)
         # The accepted trial already holds the factor at the new point.
         grad, ai, corr = cur.derivatives(structure, params[:k])
-        gain = cur.loglik - trace[-1]
         trace.append(cur.loglik)
-        iterations += 1
 
     means = cur.beta
     return FitResult(
@@ -807,7 +800,7 @@ def fit(
         genotype_labels=list(dataset.genotype_labels),
         environment_labels=list(dataset.environment_labels),
         termination=termination,
-        iterations=iterations,
+        iterations=len(trace) - 1,
         boundary_params=boundary,
     )
 

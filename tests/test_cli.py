@@ -186,7 +186,10 @@ class TestUsageErrors:
          "--lambdas: must be comma-separated numbers in [0, 1]"),
         (["--models", "cor1", "--lambdas", "nan"],
          "--lambdas: must be comma-separated numbers in [0, 1]"),
-    ], ids=["repeated-model", "lambda-above-1", "negative-lambda", "nan-lambda"])
+        (["--models", "cor1", "--lambdas", "0,0.5,0"],
+         "--lambdas: lambda 0.0 is repeated"),
+    ], ids=["repeated-model", "lambda-above-1", "negative-lambda", "nan-lambda",
+            "repeated-lambda"])
     def test_cv_flag_values(self, capsys, flags, needle):
         self.run_expecting_usage(
             ["cv", "--sim-config", "t", "--out", "o", *flags], capsys, needle,
@@ -832,6 +835,20 @@ class TestEnvProcessCommand:
             "--out-dist", str(tmp_path / "d.csv"),
         ])
         assert rc == 2, "a heat-unit bin with no days is a data error"
+
+    def test_repeated_variable_is_usage_error(self, tmp_path, capsys):
+        weather = tmp_path / "weather.csv"
+        self.write_weather(weather)
+        rc = main([
+            "env-process", "--weather", str(weather), "--variables", "rain,rain",
+            "--interval", "80", "--window", "0:160",
+            "--out-corr", str(tmp_path / "c.csv"), "--out-dist", str(tmp_path / "d.csv"),
+            "--out-features", str(tmp_path / "f.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "--variables: variable 'rain' is repeated" in err
+        assert [path.name for path in tmp_path.iterdir()] == ["weather.csv"]
 
     def test_cv_warns_once_about_the_correlation_diagonal(self, tmp_path, caplog):
         weather = tmp_path / "weather.csv"

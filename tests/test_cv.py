@@ -514,6 +514,9 @@ class TestRunCv:
             run_cv(["main"], d, sim_config=config, jobs=0)
         with pytest.raises(InvalidInputError, match="lambda"):
             run_cv(["cor1"], d, sim_config=config, lambdas=[1.5])
+        for lambdas in ([0.0, 0.0], [0.5, 0.0, 0.5], [0.0, -0.0]):
+            with pytest.raises(InvalidInputError, match="^lambdas must be unique$"):
+                run_cv(["cor1"], d, sim_config=config, lambdas=lambdas)
         with pytest.raises(InvalidInputError, match="corr"):
             run_cv(["cor1"], d, dataset=dataset)
         with pytest.raises(InvalidInputError, match="fancy"):

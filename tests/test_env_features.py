@@ -436,6 +436,19 @@ class TestBlendCorrelation:
         assert np.array_equal(np.diag(blended.values), np.ones(p)), \
             "unit diagonals on both inputs must survive blending exactly"
 
+    @pytest.mark.parametrize("kind", [float, np.float64, np.float32])
+    def test_unit_diagonal_exact_for_any_lambda_type(self, kind):
+        # (1 - lam) + lam is exactly 1 in double precision, but not when
+        # 1 - lam is rounded to single precision first.
+        p = 4
+        noise = random_correlation(p, 13)
+        corr = random_correlation(p, 14, labels=noise.labels)
+        draws = np.random.default_rng(15).uniform(0.0, 1.0, 1000)
+        edges = [0.0, 1e-300, 1e-8, 0.5, np.nextafter(0.5, 0.0), 1.0 - 1e-16, 1.0]
+        for lam in [kind(v) for v in np.concatenate([draws, edges])]:
+            blended = blend_correlation(corr, noise, lam)
+            assert np.all(np.diag(blended.values) == 1.0), f"lambda {lam!r}"
+
     def test_result_is_read_only(self):
         truth, noise = self._pair()
         blended = blend_correlation(truth, noise, 0.5)
@@ -533,6 +546,13 @@ class TestWeatherPipeline:
         records = _weather("E1", range(1, 11))
         with pytest.raises(DataError, match="snow"):
             weather_to_features(records, ["snow"], 100.0, (0.0, 100.0))
+
+    @pytest.mark.parametrize("variables", [["rain", "rain"], ["t_min", "rain", "t_min"]])
+    def test_repeated_variable_rejected(self, variables):
+        records = _weather("E1", range(1, 11), extra=np.ones(10))
+        with pytest.raises(InvalidInputError) as info:
+            weather_to_features(records, variables, 100.0, (0.0, 100.0))
+        assert str(info.value) == f"variable {variables[-1]!r} is repeated"
 
     def test_day_order_enforced(self):
         records = _weather("E1", [1, 2, 2])

@@ -284,6 +284,13 @@ class TestRemlLoglik:
         assert np.allclose([float(x) for x in reported.groups()], eigs[[0, -1]], rtol=1e-3)
 
 
+    def test_failed_inversion_names_potri(self, monkeypatch):
+        # Sparse data: the dense point inverts its factor with potri.
+        monkeypatch.setattr(reml_core.lapack, "dpotri", lambda c, **kw: (c, 2))
+        with pytest.raises(NumericalError) as failure:
+            score_and_ai(sparse_dataset(), MainEffect(4), np.array([1.0]), 1.0)
+        assert str(failure.value) == "triangular inversion failed (potri info 2)"
+
     def test_failed_block_factorization_names_its_eigenvalue(self):
         # Complete data: B_i = -2 d_i I + I first fails at the first d_i >= 1/2.
         dataset = make_dataset(9, 4, seed=61)
@@ -495,6 +502,21 @@ class TestFit:
         )
         assert not result.converged and result.termination == "max_iter"
         assert result.iterations == 1
+
+    def test_iterations_count_accepted_steps(self):
+        dist = random_distance(4, seed=25, mean_off=5.0)
+        dataset = simulated_dataset(
+            KernelSingleVar(dist), [0.3, 1.0], resid_var=0.4, n=40, seed=26
+        )
+        for max_iter in (1, 2, 3, 100):
+            result = fit(
+                dataset, KernelSingleVar(dist), init=np.array([5.0, 50.0]),
+                max_iter=max_iter,
+            )
+            assert result.iterations == len(result.loglik_trace) - 1
+            expected = "tol" if max_iter == 100 else "max_iter"
+            assert result.termination == expected
+            assert (result.iterations < max_iter) == (expected == "tol")
 
     @staticmethod
     def assert_one_factorization_per_point(monkeypatch, complete):

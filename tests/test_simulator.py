@@ -41,7 +41,11 @@ def base_config(structure, params, resid_var, n=8, seed=0, **kwargs):
      "kinship is 3 x 3 but n_genotypes is 4"),
     (lambda: kinship_from_markers(np.zeros(5)),
      "marker matrix must be two-dimensional"),
-], ids=["kinship-size", "markers-ndim"])
+    (lambda: base_config(MainEffect(2), [1.0], 0.5, n=1),
+     "need n_genotypes >= 2 and n_markers >= 2, got 1 and 40"),
+    (lambda: SimConfig(4, 1, MainEffect(2), np.array([1.0]), 0.5),
+     "need n_genotypes >= 2 and n_markers >= 2, got 4 and 1"),
+], ids=["kinship-size", "markers-ndim", "one-genotype", "one-marker"])
 def test_input_checks_name_their_fault(call, message):
     with pytest.raises(InvalidInputError) as info:
         call()
