@@ -36,7 +36,7 @@ y^T P^2 y, T_ab and Q_ab summing (P o K)_rs and (P y)_r K_rs (P y)_s over
 records r in environment a, s in b (the dense point sums over contrasts,
 with (L^T V L)^-1, L^T y and L^T K L for P, y and K): score_i = -1/2
 sum(dSigma_i o M), the residual's is -1/2 s and C = 1/2 ``curvature(kappa,
-M)``, formed with the symmetric AI by the one ``_derivative_tail``.  C, the
+M)``, formed with the symmetric AI by the one ``_Point.derivatives``.  C, the
 curvature the average information omits (Gilmour, Thompson & Cullis 1995;
 Meyer & Smith 1996), is zero for parameters that enter Sigma linearly.
 
@@ -323,22 +323,22 @@ def _cell_blups(dataset: Dataset, weights: np.ndarray, sigma: np.ndarray) -> np.
     return blas.dgemm(1.0, blas.dgemm(1.0, dataset.kinship.values.T, scattered), sigma)
 
 
-def _derivative_tail(
-    structure: VarianceStructure, kappa: np.ndarray, derivs, m, s: float, ai
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Score vector, average-information matrix and curvature correction
-    (structure params in order, residual variance last) from a point's
-    aggregates: ``m`` = T - Q, whose symmetric part is M, ``s`` and ``ai``,
-    the Gram matrix of the w_i = Vdot_i P y in P (module docstring).  The
-    correction's residual-variance row and column are zero."""
-    m = 0.5 * (m + m.T)
-    corr = np.pad(0.5 * structure.curvature(kappa, m), (0, 1))
-    grad = -0.5 * np.array([np.sum(d * m) for d in derivs] + [s])
-    return grad, 0.25 * (ai + ai.T), corr
-
-
 class _Point:
-    """What both likelihood points share: the BLUPs and beta from P y."""
+    """What both likelihood points share: derivatives, BLUPs and beta."""
+
+    def derivatives(
+        self, structure: VarianceStructure, kappa: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Score, AI matrix and curvature correction at ``kappa`` (structure
+        params in order, resid_var last) from the point's ``_aggregates``: T -
+        Q, whose symmetric part is M, s and W^T P W, W's columns w_i = Vdot_i
+        P y (module docstring).  The correction's resid_var row and column are 0."""
+        derivs = structure.derivs(kappa)
+        m, s, ai = self._aggregates(derivs)
+        m = 0.5 * (m + m.T)
+        corr = np.pad(0.5 * structure.curvature(kappa, m), (0, 1))
+        grad = -0.5 * np.array([np.sum(d * m) for d in derivs] + [s])
+        return grad, 0.25 * (ai + ai.T), corr
 
     @cached_property
     def blups(self) -> np.ndarray:
@@ -370,14 +370,11 @@ class _PointEvaluation(_Point):
     def py(self) -> np.ndarray:
         return self.ws.contrasts.lift(self.r[:, None])[:, 0]
 
-    def derivatives(
-        self, structure: VarianceStructure, kappa: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`_derivative_tail` at ``kappa``, from (L^T V L)^-1.
-        Consumes the Cholesky factor, which potri overwrites with the
-        inverse's lower triangle, so it runs at most once per point."""
+    def _aggregates(self, derivs) -> tuple[np.ndarray, float, np.ndarray]:
+        """(T - Q, s, W^T P W) from (L^T V L)^-1.  Consumes the Cholesky
+        factor, which potri overwrites with the inverse's lower triangle,
+        so it runs at most once per point."""
         ws = self.ws
-        derivs = structure.derivs(kappa)
         p_low, info = lapack.dpotri(self.chol, lower=1, overwrite_c=1)
         if info != 0:
             raise NumericalError(f"triangular inversion failed (potri info {info})")
@@ -397,7 +394,7 @@ class _PointEvaluation(_Point):
         t_agg = t_low + t_low.T - np.diag(diag_l)
         # T - Q, Q = (E o P y)^T h.
         t_q = blas.dgemm(-1.0, er, h, beta=1.0, c=t_agg, trans_a=1)
-        return _derivative_tail(structure, kappa, derivs, t_q, s, ai)
+        return t_q, s, ai
 
 
 def _is_complete(dataset: Dataset) -> bool:
@@ -453,14 +450,11 @@ class _SpectralPoint(_Point):
     def py(self) -> np.ndarray:
         return blas.dgemm(1.0, self.ws.cu, self.r)[self.ws.gen_idx, self.ws.env_idx]
 
-    def derivatives(
-        self, structure: VarianceStructure, kappa: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`_derivative_tail` at ``kappa``, from B_i^-1 = U_i^T U_i:
-        T - Q = sum_i d_i U_i^T U_i - (d r)^T r, tr P = sum_i |U_i|^2 and AI
-        sums (U_i w_i)^T U_i w_i, w_i = d_i dSigma r_i (r_i for resid_var)."""
+    def _aggregates(self, derivs) -> tuple[np.ndarray, float, np.ndarray]:
+        """(T - Q, s, W^T P W) from B_i^-1 = U_i^T U_i: T - Q = sum_i d_i
+        U_i^T U_i - (d r)^T r, tr P = sum_i |U_i|^2 and W^T P W sums (U_i
+        w_i)^T U_i w_i, w_i = d_i dSigma r_i (r_i for resid_var)."""
         d, r, u = self.ws.d, self.r, self.inv_chol
-        derivs = structure.derivs(kappa)
         dr = r * d[:, None]
         # sum_i d_i U_i^T U_i as one product of the stacked sqrt(d_i) U_i.
         root = (u * np.sqrt(d)[:, None, None]).reshape(-1, len(self.sigma))
@@ -470,7 +464,7 @@ class _SpectralPoint(_Point):
         uw = np.einsum("ijk,aik->aij", u, w).reshape(len(w), -1)
         ai = blas.dgemm(1.0, uw, uw, trans_b=1)
         s = float(np.sum(u * u)) - float(np.sum(r * r))
-        return _derivative_tail(structure, kappa, derivs, t_q, s, ai)
+        return t_q, s, ai
 
 
 class _RemlWorkspace:
