@@ -67,6 +67,7 @@ def _bounded(convert: Callable, holds: Callable, wording: str) -> Callable:
 
 _count = _bounded(int, lambda v: v >= 1, ">= 1")
 _size = _bounded(int, lambda v: v >= 2, ">= 2")
+_seed = _bounded(int, lambda v: v >= 0, ">= 0")
 _positive = _bounded(float, lambda v: 0 < v < np.inf, "finite and positive")
 
 
@@ -165,7 +166,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--resid-var", type=float)
     sim.add_argument("--env-means", type=_floats, default=0.0,
                      help="scalar or comma-separated p values (default 0)")
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--out", help="output directory")
 
     fit_p = sub.add_parser("fit", prog="gxe-reml fit",
@@ -192,7 +193,7 @@ def _build_parser() -> _Parser:
     cv_p.add_argument("--checks", type=_count, default=5)
     cv_p.add_argument("--envs-per-variety", type=_count, default=2)
     cv_p.add_argument("--replicates", type=_count, default=100)
-    cv_p.add_argument("--seed", type=int, default=42)
+    cv_p.add_argument("--seed", type=_seed, default=42)
     cv_p.add_argument("--lambdas", type=_lambdas,
                       help="comma-separated blend weights")
     cv_p.add_argument(

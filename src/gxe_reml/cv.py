@@ -76,6 +76,8 @@ class SparseDesign:
             raise InvalidInputError(
                 f"replicates must be >= 1, got {self.replicates}"
             )
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -307,6 +309,8 @@ def run_cv(
     for lam in lam_tuple:
         if not np.isfinite(lam) or lam < 0.0 or lam > 1.0:
             raise InvalidInputError(f"lambda must lie in [0, 1], got {lam}")
+    if not lam_tuple:
+        raise InvalidInputError("at least one lambda is required")
     if len(set(lam_tuple)) != len(lam_tuple):
         raise InvalidInputError("lambdas must be unique")
     if sim_config is not None:

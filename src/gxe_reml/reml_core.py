@@ -260,7 +260,7 @@ def _factor_covariance(sigma: np.ndarray, resid_var: float, ws: "_RemlWorkspace"
         try:
             eigs = scipy.linalg.eigvalsh(v, driver="evd")
             why = f"min eigenvalue {eigs[0]:.3e}, max eigenvalue {eigs[-1]:.3e}"
-        except Exception:  # pragma: no cover - diagnostics best effort
+        except Exception:  # diagnostics best effort
             why = "eigenvalue diagnostics unavailable"
         raise NumericalError(f"covariance factorization failed (potrf info {info}; {why})")
     return chol
@@ -739,9 +739,10 @@ def fit(
         decrement = 0.0
         if moving.any():
             g_mov = g_eta[moving]
-            block = np.ix_(moving, moving)
-            scale = np.outer(params, params)[block]
-            full = _newton_step(ai[block] * scale, corr[block] * scale, g_mov)
+            block, kap = np.ix_(moving, moving), params[moving]
+            # (M_ij kappa_i) kappa_j: kappa_i kappa_j alone overflows for huge starts.
+            ai_eta, corr_eta = (m[block] * kap[:, None] * kap for m in (ai, corr))
+            full = _newton_step(ai_eta, corr_eta, g_mov)
             decrement = float(g_mov @ full)
             clipped = np.clip(full, -5.0, 5.0)
             # Clipping a near-singular step can leave no ascent; shrink it whole.

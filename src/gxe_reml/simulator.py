@@ -39,7 +39,8 @@ class SimConfig:
 
     ``env_means`` may be a scalar or a 1-vector (shared by all
     environments) or a p-vector, and is stored as a p-vector.
-    ``resid_var`` of exactly 0 is allowed (noise-free data).
+    ``resid_var`` of exactly 0 is allowed (noise-free data).  ``seed`` is
+    an int or a sequence of ints, each >= 0, as ``SeedSequence`` takes.
     When ``kinship`` is supplied it is used as-is and no markers are
     simulated, so distinct seeds redraw genetic values and noise under one
     fixed relationship matrix.
@@ -72,6 +73,8 @@ class SimConfig:
             )
         if not np.isfinite(self.resid_var) or self.resid_var < 0.0:
             raise InvalidInputError(f"resid_var must be finite and >= 0, got {self.resid_var}")
+        if np.any(np.atleast_1d(self.seed) < 0):
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         self.true_params = np.atleast_1d(np.asarray(self.true_params, dtype=float))
         p = self.p_environments
         try:

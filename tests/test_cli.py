@@ -156,6 +156,18 @@ class TestUsageErrors:
             capsys, "--tol",
         )
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--structure", "main", "--p-environments", "3",
+         "--n-genotypes", "10", "--n-markers", "40", "--params", "1",
+         "--resid-var", "0.5", "--seed", "-1"],
+        ["cv", "--sim-config", "truth.cfg", "--models", "main", "--seed", "-3"],
+    ], ids=["simulate", "cv"])
+    def test_negative_seed(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        self.run_expecting_usage([*argv, "--out", str(out)], capsys,
+                                 "--seed: must be >= 0")
+        assert not out.exists()
+
     def test_cv_needs_exactly_one_data_source(self, capsys):
         self.run_expecting_usage(
             ["cv", "--models", "main", "--out", "o"],

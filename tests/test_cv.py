@@ -155,6 +155,10 @@ class TestSparseSplit:
             with pytest.raises(InvalidInputError):
                 design(**kwargs)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^seed must be >= 0, got -1$"):
+            design(seed=-1)
+
 
 class TestWithinEnvAccuracy:
     def test_perfect_prediction(self):
@@ -514,6 +518,8 @@ class TestRunCv:
             run_cv(["main"], d, sim_config=config, jobs=0)
         with pytest.raises(InvalidInputError, match="lambda"):
             run_cv(["cor1"], d, sim_config=config, lambdas=[1.5])
+        with pytest.raises(InvalidInputError, match="^at least one lambda is required$"):
+            run_cv(["cor1", "main"], d, sim_config=config, lambdas=[])
         for lambdas in ([0.0, 0.0], [0.5, 0.0, 0.5], [0.0, -0.0]):
             with pytest.raises(InvalidInputError, match="^lambdas must be unique$"):
                 run_cv(["cor1"], d, sim_config=config, lambdas=lambdas)

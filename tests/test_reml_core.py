@@ -283,6 +283,21 @@ class TestRemlLoglik:
         assert eigs[0] < 0.0
         assert np.allclose([float(x) for x in reported.groups()], eigs[[0, -1]], rtol=1e-3)
 
+    def test_failed_factorization_without_eigenvalues(self, monkeypatch):
+        # The diagnostics are best effort: if eigvalsh fails too, the
+        # factorization failure is still the error raised.
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(reml_core.scipy.linalg, "eigvalsh", fail)
+        ws = reml_core._RemlWorkspace(sparse_dataset(), MainEffect(4))
+        with pytest.raises(NumericalError) as failure:
+            ws.point(-2.0 * np.eye(4), 1.0)
+        assert str(failure.value) == (
+            "covariance factorization failed "
+            "(potrf info 1; eigenvalue diagnostics unavailable)"
+        )
+
 
     def test_failed_inversion_names_potri(self, monkeypatch):
         # Sparse data: the dense point inverts its factor with potri.
@@ -594,6 +609,13 @@ class TestFit:
         )
         assert np.all(np.isfinite(result.loglik_trace))
         assert np.all(np.isfinite(result.kappa_hat))
+
+    def test_huge_start_scales_the_step_without_overflow(self):
+        # kappa_i kappa_j overflows at a 1e200 start, (AI_ij kappa_i) kappa_j
+        # does not; pyproject.toml makes any RuntimeWarning an error.
+        dataset = make_dataset(20, 3, seed=57)
+        result = fit(dataset, MainEffect(3), init=np.array([1e200]), resid_init=1e200)
+        assert np.all(np.isfinite(result.loglik_trace))
 
     def test_failed_halvings_end_the_fit_unconverged(self, monkeypatch):
         # Every step descends, so every halving fails at the start: the fit

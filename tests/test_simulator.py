@@ -45,7 +45,12 @@ def base_config(structure, params, resid_var, n=8, seed=0, **kwargs):
      "need n_genotypes >= 2 and n_markers >= 2, got 1 and 40"),
     (lambda: SimConfig(4, 1, MainEffect(2), np.array([1.0]), 0.5),
      "need n_genotypes >= 2 and n_markers >= 2, got 4 and 1"),
-], ids=["kinship-size", "markers-ndim", "one-genotype", "one-marker"])
+    (lambda: base_config(MainEffect(2), [1.0], 0.5, seed=-1),
+     "seed must be >= 0, got -1"),
+    (lambda: base_config(MainEffect(2), [1.0], 0.5, seed=[3, -2]),
+     "seed must be >= 0, got [3, -2]"),
+], ids=["kinship-size", "markers-ndim", "one-genotype", "one-marker",
+        "negative-seed", "negative-seed-entry"])
 def test_input_checks_name_their_fault(call, message):
     with pytest.raises(InvalidInputError) as info:
         call()
