@@ -69,6 +69,7 @@ _count = _bounded(int, lambda v: v >= 1, ">= 1")
 _size = _bounded(int, lambda v: v >= 2, ">= 2")
 _seed = _bounded(int, lambda v: v >= 0, ">= 0")
 _positive = _bounded(float, lambda v: 0 < v < np.inf, "finite and positive")
+_nonnegative = _bounded(float, lambda v: 0 <= v < np.inf, "finite and >= 0")
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -87,6 +88,8 @@ def _distinct(items: Sequence, what: str) -> Sequence:
     return items
 
 
+_finite_floats = _bounded(_floats, lambda v: np.isfinite(v).all(),
+                          "comma-separated finite numbers")
 _unit_floats = _bounded(_floats, lambda v: all(0 <= lam <= 1 for lam in v),
                         "comma-separated numbers in [0, 1]")
 
@@ -131,7 +134,7 @@ def _build_parser() -> _Parser:
     matrices = argparse.ArgumentParser(add_help=False)
     matrices.add_argument("--corr", help="correlation CSV (cor1/corP)")
     matrices.add_argument("--dist", help="distance CSV (kern1/kernP/ka)")
-    matrices.add_argument("--grid", type=_floats,
+    matrices.add_argument("--grid", type=_finite_floats,
                           help="comma-separated bandwidth grid (ka)")
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--phenotypes", help="phenotype CSV")
@@ -160,11 +163,11 @@ def _build_parser() -> _Parser:
     sim.add_argument("--structure", choices=STRUCTURE_KINDS)
     sim.add_argument("--n-genotypes", type=_size)
     sim.add_argument("--n-markers", type=_size)
-    sim.add_argument("--p-environments", type=int)
-    sim.add_argument("--params", type=_floats,
+    sim.add_argument("--p-environments", type=_count)
+    sim.add_argument("--params", type=_finite_floats,
                      help="comma-separated true parameter values")
-    sim.add_argument("--resid-var", type=float)
-    sim.add_argument("--env-means", type=_floats, default=0.0,
+    sim.add_argument("--resid-var", type=_nonnegative)
+    sim.add_argument("--env-means", type=_finite_floats, default=0.0,
                      help="scalar or comma-separated p values (default 0)")
     sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--out", help="output directory")
@@ -173,7 +176,7 @@ def _build_parser() -> _Parser:
                            parents=[config, data, matrices, controls],
                            help="REML fit of one variance structure")
     fit_p.add_argument("--structure", choices=STRUCTURE_KINDS)
-    fit_p.add_argument("--init", type=_floats,
+    fit_p.add_argument("--init", type=_finite_floats,
                        help="comma-separated initial parameters")
     fit_p.add_argument("--resid-init", type=_positive)
     fit_p.add_argument("--out", help="output directory")
@@ -288,6 +291,14 @@ def _validate(args: argparse.Namespace) -> None:
         if args.phenotypes is not None and args.kinship is None:
             raise UsageError("--phenotypes mode requires --kinship")
         _require(args, "models", "out")
+        classes = [structure_class(kind) for kind in args.models]
+        if args.grid is not None and not any(cls.takes_grid for cls in classes):
+            raise UsageError("--grid applies only to kernel averaging (--models ka)")
+        if args.phenotypes is not None:  # else run_cv takes a missing matrix from the truth
+            for cls in classes:
+                if cls.needs in _MATRIX_FLAGS and getattr(args, cls.needs) is None:
+                    flag, why = _MATRIX_FLAGS[cls.needs]
+                    raise UsageError(f"--models {cls.kind} requires {flag} ({why})")
 
 
 def _structure_inputs(args: argparse.Namespace) -> dict:

@@ -17,11 +17,12 @@ drawn once per replicate, shared by every blended model in it.
 Models are structure kinds.  :func:`run_cv` builds each one's structure
 once, with :func:`~gxe_reml.variance_structures.build_structure` from one
 set of ``corr``, ``dist`` and ``grid`` inputs, before any replicate runs;
-a replicate builds a structure only for a blended correlation.  A split
-is two :class:`~gxe_reml.reml_core.Dataset` parts, and held-out cells are
-read from each fit's own BLUP matrix at the held-out part's genotype and
-environment indices.  :func:`run_cv` returns its :class:`CvRow` list in
-replicate order; aggregating it is left to the caller.
+a replicate rebuilds a model, through its own class, only for a blended
+correlation.  A split is two :class:`~gxe_reml.reml_core.Dataset` parts,
+and held-out cells are read from each fit's own BLUP matrix at the
+held-out part's genotype and environment indices.  :func:`run_cv` returns
+its :class:`CvRow` list in replicate order; aggregating it is left to the
+caller.
 """
 
 from __future__ import annotations
@@ -225,10 +226,8 @@ def _run_replicate(
     for kind, unblended in structures.items():
         for lam in lambdas if kind in blended else (0.0,):
             # corr and the noise are both in the dataset's environment order.
-            structure = unblended if lam == 0.0 else build_structure(
-                kind, env_labels=data.environment_labels,
-                corr=blend_correlation(corr, noise, lam),
-            )
+            structure = unblended if lam == 0.0 else type(unblended)(
+                blend_correlation(corr, noise, lam))
             started = time.perf_counter()
             try:
                 result = fit(train, structure, max_iter=max_iter, tol=tol)

@@ -112,12 +112,12 @@ class EnvFeatureMatrix:
 class _LabeledMatrix:
     """A validated, read-only square matrix with one label per row.
 
-    Construction checks, in this order, that ``values`` is square, has one
-    label per row, no repeated label, only finite entries and asymmetry of
-    at most 1e-8, each failure raising the subclass's ``_error`` naming
-    ``_what``.  It then symmetrizes, runs the subclass's own ``_checked``
-    and stores the result read-only; the fields cannot be reassigned, so
-    anything derived from ``values`` stays valid.
+    Construction checks, in this order, that ``values`` is square with at
+    least one row, has one label per row, no repeated label, only finite
+    entries and asymmetry of at most 1e-8, each failure raising the
+    subclass's ``_error`` naming ``_what``.  It then symmetrizes, runs the
+    subclass's own ``_checked`` and stores the result read-only; the fields
+    cannot be reassigned, so anything derived from ``values`` stays valid.
     """
 
     values: np.ndarray
@@ -132,6 +132,8 @@ class _LabeledMatrix:
         what, error = self._what, self._error
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise error(f"{what} must be square, got shape {values.shape}")
+        if values.shape[0] == 0:
+            raise error(f"{what} has no rows")
         if len(labels) != values.shape[0]:
             raise error(f"{what} has {values.shape[0]} rows but {len(labels)} labels")
         if len(set(labels)) != len(labels):

@@ -12,7 +12,8 @@ because the multi-variance derivatives contain 1/s_i factors.
 A new structure is one subclass declaring its ``kind`` tag and the input it
 is built from, ``needs``: ``"p"`` (environment count or labels), ``"corr"``
 or ``"dist"`` (the matrix its constructor takes).  Listed in
-``_STRUCTURES``, it reaches :func:`build_structure`, the CLI and CV.
+``_STRUCTURES``, it reaches :func:`build_structure`, the CLI and CV.  For a
+kind of the S * B form below, that declaration is the whole class.
 
 Every kind but ``ka`` has the form Sigma = S(var) * B(theta), taken
 entrywise, over two axes:
@@ -171,24 +172,34 @@ class VarianceStructure(abc.ABC):
 class _ScaledBase(VarianceStructure):
     """Sigma = S(var) * B(theta) entrywise, differentiated by the product rule.
 
-    S is ``var * J`` or, with ``per_env``, outer(s, s) with diagonal var;
-    B is the fixed matrix ``base`` or, given ``dist``, exp(-theta * D) with
-    theta leading the parameter layout.
+    S is ``var * J`` or, with ``per_env``, outer(s, s) with diagonal var.
+    The one constructor builds B from the input ``needs`` names, so a kind's
+    declaration is its whole class: from p, B is J for one variance and I
+    per environment; from a correlation matrix, B is that matrix; from a
+    distance matrix D, B is exp(-theta * D) with theta leading the parameter
+    layout.  A matrix's labels label the environments.
     """
 
     per_env: ClassVar[bool]
 
-    def __init__(self, p: int, env_labels: Sequence[str] | None,
-                 base: np.ndarray | None = None, dist: np.ndarray | None = None):
+    def __init__(self, source: int | EnvCorrelationMatrix | EnvDistanceMatrix,
+                 env_labels: Sequence[str] | None = None):
+        p = source
+        if self.needs != "p":
+            if env_labels is not None:
+                raise InvalidInputError(
+                    f"structure {self.kind!r} takes its environment labels from its matrix")
+            p, env_labels = source.p, source.labels
         env_labels = list(env_labels) if env_labels else None
-        names = ["var"]
-        if self.per_env:
-            names = [f"var[{lab}]" for lab in env_labels or range(p)]
-        if dist is not None:
+        names = [f"var[{lab}]" for lab in env_labels or range(p)] if self.per_env else ["var"]
+        if self.needs == "dist":
             names = ["bandwidth"] + names
         super().__init__(p, names, env_labels)
-        self.base = base
-        self.dist = dist
+        self.dist = source.values if self.needs == "dist" else None
+        if self.needs == "p":
+            self.base = np.eye(p) if self.per_env else np.ones((p, p))
+        else:
+            self.base = _validated_correlation(source) if self.needs == "corr" else None
 
     def _split(self, kappa):
         """(B, var) at kappa."""
@@ -258,10 +269,6 @@ class MainEffect(_ScaledBase):
     needs = "p"
     per_env = False
 
-    def __init__(self, p: int, env_labels: Sequence[str] | None = None):
-        super().__init__(p, env_labels)
-        self.base = np.ones((p, p))
-
 
 class DiagonalVariance(_ScaledBase):
     """Independent environments: Sigma = diag(var_1..var_p)."""
@@ -269,10 +276,6 @@ class DiagonalVariance(_ScaledBase):
     kind = "diag"
     needs = "p"
     per_env = True
-
-    def __init__(self, p: int, env_labels: Sequence[str] | None = None):
-        super().__init__(p, env_labels)
-        self.base = np.eye(p)
 
 
 class CorrSingleVar(_ScaledBase):
@@ -282,9 +285,6 @@ class CorrSingleVar(_ScaledBase):
     needs = "corr"
     per_env = False
 
-    def __init__(self, corr: EnvCorrelationMatrix):
-        super().__init__(corr.p, corr.labels, base=_validated_correlation(corr))
-
 
 class CorrMultiVar(_ScaledBase):
     """Fixed correlation, per-environment variances: Sigma = outer(s,s)*C."""
@@ -292,9 +292,6 @@ class CorrMultiVar(_ScaledBase):
     kind = "corP"
     needs = "corr"
     per_env = True
-
-    def __init__(self, corr: EnvCorrelationMatrix):
-        super().__init__(corr.p, corr.labels, base=_validated_correlation(corr))
 
 
 class KernelSingleVar(_ScaledBase):
@@ -304,9 +301,6 @@ class KernelSingleVar(_ScaledBase):
     needs = "dist"
     per_env = False
 
-    def __init__(self, dist: EnvDistanceMatrix):
-        super().__init__(dist.p, dist.labels, dist=dist.values)
-
 
 class KernelMultiVar(_ScaledBase):
     """Gaussian kernel, per-environment variances: Sigma = outer(s,s)*K."""
@@ -314,9 +308,6 @@ class KernelMultiVar(_ScaledBase):
     kind = "kernP"
     needs = "dist"
     per_env = True
-
-    def __init__(self, dist: EnvDistanceMatrix):
-        super().__init__(dist.p, dist.labels, dist=dist.values)
 
 
 class KernelAveraging(VarianceStructure):

@@ -136,6 +136,25 @@ class TestUsageErrors:
             capsys, "--grid applies only",
         )
 
+    @pytest.mark.parametrize("flags, needle", [
+        (["--p-environments", "0"], "--p-environments: must be >= 1"),
+        (["--resid-var", "-1"], "--resid-var: must be finite and >= 0"),
+        (["--resid-var", "nan"], "--resid-var: must be finite and >= 0"),
+        (["--params", "nan"], "--params: must be comma-separated finite numbers"),
+        (["--env-means", "inf"], "--env-means: must be comma-separated finite numbers"),
+        (["--env-means", "0,-inf,1"], "--env-means: must be comma-separated finite numbers"),
+    ], ids=["no-environment", "negative-resid-var", "nan-resid-var", "nan-params",
+            "inf-env-means", "inf-env-mean-entry"])
+    def test_simulate_flag_values(self, tmp_path, capsys, flags, needle):
+        out = tmp_path / "o"
+        self.run_expecting_usage(
+            ["simulate", "--structure", "main", "--p-environments", "3",
+             "--n-genotypes", "10", "--n-markers", "40", "--params", "1",
+             "--resid-var", "0.5", *flags, "--out", str(out)],
+            capsys, needle,
+        )
+        assert not out.exists()
+
     def test_main_structure_needs_environment_count(self, capsys):
         self.run_expecting_usage(
             ["simulate", "--structure", "main", "--n-genotypes", "10",
@@ -200,8 +219,12 @@ class TestUsageErrors:
          "--lambdas: must be comma-separated numbers in [0, 1]"),
         (["--models", "cor1", "--lambdas", "0,0.5,0"],
          "--lambdas: lambda 0.0 is repeated"),
+        (["--models", "main,diag", "--grid", "1,2"],
+         "--grid applies only to kernel averaging (--models ka)"),
+        (["--models", "ka", "--grid", "1,nan"],
+         "--grid: must be comma-separated finite numbers"),
     ], ids=["repeated-model", "lambda-above-1", "negative-lambda", "nan-lambda",
-            "repeated-lambda"])
+            "repeated-lambda", "grid-without-ka", "nan-grid"])
     def test_cv_flag_values(self, capsys, flags, needle):
         self.run_expecting_usage(
             ["cv", "--sim-config", "t", "--out", "o", *flags], capsys, needle,
@@ -224,6 +247,9 @@ class TestUsageErrors:
         (["--tol", "nan"], "--tol: must be finite and positive"),
         (["--resid-init", "inf"], "--resid-init: must be finite and positive"),
         (["--resid-init", "nan"], "--resid-init: must be finite and positive"),
+        (["--init", "nan"], "--init: must be comma-separated finite numbers"),
+        (["--init", "1,inf"], "--init: must be comma-separated finite numbers"),
+        (["--grid", "1,inf"], "--grid: must be comma-separated finite numbers"),
     ])
     def test_non_finite_fit_controls(self, capsys, flags, needle):
         self.run_expecting_usage(
@@ -650,6 +676,31 @@ class TestCvCommand:
             assert row[:3] == other[:3] and row[6] == other[6]
             for col in (3, 4):  # mean_pearson, mean_rmse
                 assert float(row[col]) == pytest.approx(float(other[col]), abs=1e-8)
+
+    @pytest.mark.parametrize("flags, needle", [
+        (["--models", "main,cor1"],
+         "--models cor1 requires --corr (correlation structures need a correlation matrix)"),
+        (["--models", "kern1", "--corr", "c.csv"],
+         "--models kern1 requires --dist (kernel structures need a distance matrix)"),
+        (["--models", "main", "--grid", "1,2"],
+         "--grid applies only to kernel averaging (--models ka)"),
+    ], ids=["cor1-without-corr", "kern1-without-dist", "grid-without-ka"])
+    def test_phenotypes_mode_checks_matrix_flags_as_fit_does(
+            self, tmp_path, capsys, workspace, flags, needle):
+        out = tmp_path / "r.csv"
+        rc = main([
+            "cv", "--phenotypes", str(workspace["sim"] / "phenotypes.csv"),
+            "--kinship", str(workspace["sim"] / "kinship.csv"), *flags,
+            "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and needle in err
+        assert not out.exists()
+
+    def test_grid_accepted_with_kernel_averaging_among_models(self):
+        args = parse_args(["cv", "--sim-config", "t", "--models", "main,ka",
+                           "--grid", "1,2", "--out", "o"])
+        assert args.grid == (1.0, 2.0)
 
     def test_simulation_mode(self, tmp_path, workspace):
         cfg = tmp_path / "truth.cfg"

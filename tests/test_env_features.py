@@ -317,11 +317,12 @@ class TestLabeledMatrixContract:
 
     @pytest.mark.parametrize("values, labels, wording", [
         (lambda v: v[:2], LABELS, "must be square"),
+        (lambda v: v[:0, :0], [], "has no rows"),
         (lambda v: v, LABELS[:2], "has 3 rows but 2 labels"),
         (lambda v: v, ["a", "b", "a"], "labels contain duplicates"),
         (_non_finite, LABELS, "non-finite entries"),
         (_asymmetric, LABELS, "asymmetric beyond tolerance"),
-    ], ids=["square", "label-count", "duplicate", "finite", "symmetric"])
+    ], ids=["square", "empty", "label-count", "duplicate", "finite", "symmetric"])
     def test_each_check_raises_the_type_error(self, cls, error, what, good,
                                               values, labels, wording):
         with pytest.raises(GxeRemlError) as exc:

@@ -352,7 +352,12 @@ class TestBuildStructure:
     (lambda: mean_offdiag(np.zeros((1, 1))), "at least two environments are required"),
     (lambda: MainEffect(0), "need at least one environment, got 0"),
     (lambda: MainEffect(2).sigma([np.nan]), "main parameters must be finite"),
-], ids=["mean-offdiag-one-environment", "no-environment", "non-finite-kappa"])
+    (lambda: CorrSingleVar(gaussian_reference_corr(2, seed=1), ["a", "b"]),
+     "structure 'cor1' takes its environment labels from its matrix"),
+    (lambda: KernelMultiVar(random_distance(3, seed=2), ["E0", "E1", "E2"]),
+     "structure 'kernP' takes its environment labels from its matrix"),
+], ids=["mean-offdiag-one-environment", "no-environment", "non-finite-kappa",
+        "correlation-with-labels", "distance-with-labels"])
 def test_input_checks_name_their_fault(call, message):
     with pytest.raises(InvalidInputError) as info:
         call()
